@@ -38,7 +38,7 @@ from .errors import (
     TagsplitError,
     UndefinedObjectiveError,
 )
-from .objective import EPSILON, LogEvalCounter, MoveDelta, acmi, delta_acmi
+from .objective import EPSILON, LogEvalCounter, MoveDelta, acmi, batch_deltas, delta_acmi
 from .splitter import (
     MAX_LEVELS,
     STRATEGIES,
@@ -82,6 +82,7 @@ __all__ = [
     "Vocabulary",
     "acmi",
     "apply_move",
+    "batch_deltas",
     "build_vocabulary",
     "class_matrix",
     "classify_rare",

@@ -109,12 +109,13 @@ def write_stats_csv(path: Path, stats: list[LevelStats]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             "level,iterations,committed_moves,retracted_moves,"
-            "acmi_before,acmi_after,wall_seconds\n"
+            "acmi_before,acmi_after,wall_seconds,capped\n"
         )
         for s in stats:
             fh.write(
                 f"{s.level},{s.iterations},{s.committed_moves},{s.retracted_moves},"
-                f"{_real(s.acmi_before)},{_real(s.acmi_after)},{_real(s.wall_time)}\n"
+                f"{_real(s.acmi_before)},{_real(s.acmi_after)},{_real(s.wall_time)},"
+                f"{int(s.capped)}\n"
             )
 
 

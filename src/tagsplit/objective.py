@@ -6,13 +6,20 @@ the class of its successor:
     sum over cells with N(i,j) > 0 of  p(i,j) * log2(p(i,j) / (pl(i)*pr(j)))
 
 with p(i,j) = N(i,j)/T and directional (left/right) marginals.  Zero cells
-contribute nothing, so empty classes are representable.
+contribute nothing, so empty classes are representable.  Equivalently,
+with h(n) = n lg n and row/column totals r and c,
+
+    ACMI = lg T + (1/T) [sum h(N) - sum h(r) - sum h(c)].
 
 Moving one word between classes changes only two rows and two columns of
-the matrix, so the change in ACMI is evaluated over those cells alone,
-before and after: at most 8(C-1) log-term evaluations per candidate move
-instead of a full C^2 rescan.  Logarithms are the expensive unit; an
-optional counter exposes exactly how many were taken.
+the matrix, and within them only the cells where the word's context is
+nonzero, plus the four corner cells and four marginals.  batch_deltas
+scores every candidate move of a search pass at once on that identity:
+4 h-terms per nonzero off-corner context entry plus 16 for the corners and
+marginals, in one vectorised pass.  delta_acmi is the scalar reference it
+is tested against: it re-evaluates the two rows and columns before and
+after the move, at most 8(C-1) log terms, and an optional counter exposes
+exactly how many it took.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bigram import ClassMatrix, ContextVectors
+from .bigram import ClassMatrix, ContextBank, ContextVectors
 from .errors import ConsistencyError, UndefinedObjectiveError
 
 # Improvement threshold: deltas in (-EPSILON, EPSILON] are non-improving,
@@ -123,8 +130,7 @@ def pair_before_sum(
     """Term sum over rows {a, b} and columns {a, b} of the current matrix.
 
     This is the "before" half of delta_acmi; it depends only on the class
-    pair, so a search loop can share it across every candidate word of the
-    pair within one scoring pass.
+    pair, not on the word being moved.
     """
     N = matrix.counts
     return _lines_sum(
@@ -141,15 +147,14 @@ def delta_acmi(
     frm: int,
     to: int,
     counter: LogEvalCounter | None = None,
-    before_sum: float | None = None,
 ) -> MoveDelta:
     """Change in ACMI if ctx.word moved frm -> to; the matrix is untouched.
 
     Only cells in rows {frm, to} and columns {frm, to} can change, so the
     sum of their terms is evaluated under the current counts and under the
     post-move counts; everything else cancels exactly.  At most 8(C-1) log
-    terms are taken per call.  Callers scoring many words of the same class
-    pair against one matrix state may pass a shared pair_before_sum().
+    terms are taken per call.  This is the scalar reference that
+    batch_deltas is tested against.
     """
     if frm == to:
         raise ValueError("delta_acmi requires frm != to")
@@ -165,13 +170,7 @@ def delta_acmi(
     sL = int(L.sum())
     sR = int(R.sum())
 
-    if before_sum is None:
-        before_sum = _lines_sum(
-            N[a, :], N[b, :], int(row[a]), int(row[b]),
-            N[:, a], N[:, b], int(col[a]), int(col[b]),
-            row, col, a, b, T,
-            counter,
-        )
+    before_sum = pair_before_sum(matrix, a, b, counter)
 
     row_a2 = N[a, :] - L
     row_b2 = N[b, :] + L
@@ -202,3 +201,86 @@ def delta_acmi(
         counter,
     )
     return MoveDelta(ctx.word, frm, to, after - before_sum)
+
+
+def _h(n: np.ndarray) -> np.ndarray:
+    # n lg n with h(0) = 0; counts are non-negative integers
+    n = n.astype(np.float64)
+    return n * np.log2(np.maximum(n, 1.0))
+
+
+def _check_counts(what: str, values: np.ndarray, owners: np.ndarray) -> None:
+    bad = np.flatnonzero(values < 0)
+    if len(bad):
+        raise ConsistencyError(
+            f"negative post-move {what} count for word {int(owners[bad[0]])}; "
+            "context vectors are stale"
+        )
+
+
+def batch_deltas(
+    matrix: ClassMatrix, bank: ContextBank, words: np.ndarray, frm: np.ndarray
+) -> np.ndarray:
+    """Change in ACMI for moving each words[k] from frm[k] to its sibling frm[k]^1.
+
+    All moves are scored against the same matrix state, which is untouched.
+    With x = L[w, j] for each nonzero entry of w's left context row outside
+    columns a and b, word w moving a -> b changes T * ACMI by
+
+      sum of  h(N[a,j] - x) - h(N[a,j]) + h(N[b,j] + x) - h(N[b,j]),
+      the same over w's right context row in columns a and b,
+      the h-changes of the four corner cells,
+      minus the h-changes of r[a], r[b], c[a], c[b].
+
+    Equals delta_acmi move for move to floating-point rounding, and raises
+    ConsistencyError where the bank no longer matches the matrix.
+    """
+    if matrix.T == 0:
+        raise UndefinedObjectiveError("ACMI is undefined on an empty matrix (T = 0)")
+    words = np.asarray(words, dtype=np.int64)
+    a = np.asarray(frm, dtype=np.int64)
+    b = a ^ 1
+    store = bank.store
+    N = matrix.counts
+    slot = np.full(store.V, -1, dtype=np.int64)  # word -> position in words
+    slot[words] = np.arange(len(words))
+    total = np.zeros(len(words), dtype=np.float64)
+
+    # off-corner cells: rows a and b at w's successor classes, then
+    # columns a and b (rows of N.T) at w's predecessor classes
+    for ctx, lines in ((bank.left, N), (bank.right, N.T)):
+        w, j = np.nonzero(ctx)
+        k = slot[w]
+        keep = k >= 0
+        k, w, j = k[keep], w[keep], j[keep]
+        keep = (j != a[k]) & (j != b[k])
+        k, w, j = k[keep], w[keep], j[keep]
+        x = ctx[w, j]
+        na = lines[a[k], j]
+        nb = lines[b[k], j]
+        _check_counts("cell", na - x, w)
+        total += np.bincount(
+            k, _h(na - x) - _h(na) + _h(nb + x) - _h(nb), minlength=len(words)
+        )
+
+    # corner cells; the (w,w) mass lands on (b,b)
+    f = store.self_count[words]
+    La, Lb = bank.left[words, a], bank.left[words, b]
+    Ra, Rb = bank.right[words, a], bank.right[words, b]
+    for before, after in (
+        (N[a, a], N[a, a] - La - Ra + f),
+        (N[a, b], N[a, b] - Lb + Ra - f),
+        (N[b, a], N[b, a] + La - Rb - f),
+        (N[b, b], N[b, b] + Lb + Rb + f),
+    ):
+        _check_counts("corner", after, words)
+        total += _h(after) - _h(before)
+
+    # marginals: w's successor mass leaves row a for row b, its
+    # predecessor mass column a for column b
+    for marg, moved in (
+        (matrix.row, store.succ_total[words]),
+        (matrix.col, store.pred_total[words]),
+    ):
+        total -= _h(marg[a] - moved) - _h(marg[a]) + _h(marg[b] + moved) - _h(marg[b])
+    return total / float(matrix.T)

@@ -9,7 +9,9 @@ from tagsplit.cli import (
     load_corpus,
     main,
     read_tags_tsv,
+    write_stats_csv,
 )
+from tagsplit.splitter import LevelStats
 from tagsplit.corpus import BOUNDARY_TOKEN, TokenizerOptions
 from tagsplit.elman import generate
 
@@ -76,13 +78,24 @@ class TestCluster:
         lines = stats.read_text().splitlines()
         assert lines[0] == (
             "level,iterations,committed_moves,retracted_moves,"
-            "acmi_before,acmi_after,wall_seconds"
+            "acmi_before,acmi_after,wall_seconds,capped"
         )
+        assert all(line.endswith(",0") for line in lines[1:])
         assert len(lines) == 1 + 4
         manifest = json.loads((tmp_path / "tags.tsv.manifest.json").read_text())
         assert manifest["command"] == "cluster"
         assert manifest["config"]["method"] == "znrp"
         assert manifest["inputs"][0]["sha256"]
+
+    def test_capped_level_marked_in_stats_file(self, tmp_path):
+        path = tmp_path / "stats.csv"
+        levels = [
+            LevelStats(1, 5, 5, 0, 0.0, 0.5, 0.01),
+            LevelStats(2, 8, 8, 0, 0.5, 0.9, 0.02, capped=True),
+        ]
+        write_stats_csv(path, levels)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert [row[-1] for row in rows] == ["0", "1"]
 
     def test_acmi_monotone_in_stats_file(self, elman_corpus, tmp_path):
         rc, _, stats = run_cluster(elman_corpus, tmp_path)

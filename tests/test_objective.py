@@ -1,6 +1,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagsplit import (
     ClassMatrix,
@@ -10,10 +12,12 @@ from tagsplit import (
     UndefinedObjectiveError,
     acmi,
     apply_move,
+    batch_deltas,
     class_matrix,
+    count_bigrams,
     delta_acmi,
 )
-from conftest import acmi_oracle, random_instance
+from conftest import acmi_oracle, make_stream, random_instance
 
 
 def matrix_from(counts) -> ClassMatrix:
@@ -170,3 +174,76 @@ class TestDeltaAcmi:
         assignment[w] = to
         d_back = delta_acmi(matrix, bank.vectors(w), to, frm).delta
         assert d_fwd + d_back == pytest.approx(0.0, abs=1e-10)
+
+
+def scalar_deltas(matrix, bank, words, frm):
+    return np.array([
+        delta_acmi(matrix, bank.vectors(int(w)), int(f), int(f) ^ 1).delta
+        for w, f in zip(words, frm)
+    ])
+
+
+class TestBatchDeltas:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        C=st.sampled_from([2, 4, 8, 16]),
+        empty_sibling=st.booleans(),
+    )
+    def test_matches_scalar_oracle(self, seed, C, empty_sibling):
+        _, assignment, store = random_instance(seed, C=C)
+        if empty_sibling:
+            # class 1 empty: every word of the pair starts in class 0, as in znr
+            assignment[assignment == 1] = 0
+        matrix = class_matrix(store, assignment, C)
+        bank = ContextBank(store, assignment, C)
+        words = np.arange(store.V)
+        frm = assignment[words]
+        d = batch_deltas(matrix, bank, words, frm)
+        assert np.allclose(d, scalar_deltas(matrix, bank, words, frm), rtol=0, atol=1e-9)
+
+    def test_self_bigrams_and_unseen_word(self):
+        # words 0 and 1 repeat themselves; word 3 never occurs
+        store = count_bigrams(make_stream([0, 0, 0, 1, 1, 2, 0, 0, 1, 1, 1, 2]), 4)
+        assert store.self_count[:2].tolist() == [3, 3]
+        for assignment in ([0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 1, 1]):
+            assignment = np.array(assignment)
+            matrix = class_matrix(store, assignment, 2)
+            bank = ContextBank(store, assignment, 2)
+            words = np.arange(4)
+            d = batch_deltas(matrix, bank, words, assignment)
+            assert np.allclose(
+                d, scalar_deltas(matrix, bank, words, assignment), rtol=0, atol=1e-12
+            )
+            assert d[3] == 0.0
+
+    def test_selected_subset_scored_in_place(self):
+        _, assignment, store = random_instance(21, C=8)
+        matrix = class_matrix(store, assignment, 8)
+        bank = ContextBank(store, assignment, 8)
+        words = np.arange(store.V)
+        full = batch_deltas(matrix, bank, words, assignment)
+        subset = words[1::3]
+        part = batch_deltas(matrix, bank, subset, assignment[subset])
+        assert np.allclose(part, full[1::3], rtol=0, atol=1e-12)
+        assert batch_deltas(matrix, bank, words[:0], assignment[:0]).shape == (0,)
+
+    def test_stale_bank_detected(self):
+        # the matrix already holds word 0's move; the bank does not
+        store = count_bigrams(make_stream([0, 1, 0, 1]), 2)
+        assignment = np.array([0, 1])
+        matrix = class_matrix(store, assignment, 2)
+        bank = ContextBank(store, assignment, 2)
+        apply_move(matrix, bank.vectors(0), 0, 1)
+        with pytest.raises(ConsistencyError):
+            batch_deltas(matrix, bank, np.array([0]), np.array([0]))
+
+    def test_stale_off_corner_cell_detected(self):
+        # C=4: word 0's successors sit in class 2, off the (0,1) corners
+        store = count_bigrams(make_stream([0, 2, 0, 2, 1, 3]), 4)
+        assignment = np.array([0, 1, 2, 3])
+        matrix = class_matrix(store, assignment, 4)
+        bank = ContextBank(store, assignment, 4)
+        matrix.counts[0, 2] -= 1
+        with pytest.raises(ConsistencyError, match="word 0"):
+            batch_deltas(matrix, bank, np.array([1, 0]), np.array([1, 0]))

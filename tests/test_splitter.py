@@ -2,19 +2,23 @@ import numpy as np
 import pytest
 
 from tagsplit import (
+    EPSILON,
     ClusterConfig,
     ClusterState,
     ConfigError,
+    ConsistencyError,
     IngestionError,
     Partition,
     build_vocabulary,
     cluster,
     count_bigrams,
+    delta_acmi,
     init_level,
     oracle_min_moves,
     run_level,
 )
-from conftest import acmi_oracle, class_matrix_oracle, make_stream
+from tagsplit import splitter
+from conftest import acmi_oracle, class_matrix_oracle, make_stream, random_instance
 
 
 def tiny_corpus(tokens, top_k=None):
@@ -128,6 +132,126 @@ class TestRunLevel:
         stats = run_level(state, "znr")
         assert stats.capped
         assert stats.iterations == 1
+
+    def test_running_acmi_drift_detected(self):
+        # nothing can move, so the running value is compared as set
+        vocab, stream, store = tiny_corpus("a b a b a".split())
+        state = ClusterState(store, np.array([0, 1]), 1)
+        state.acmi += 1e-8
+        with pytest.raises(ConsistencyError, match="drifted"):
+            run_level(state, "znr")
+        state = ClusterState(store, np.array([0, 1]), 1)
+        state.acmi += 1e-11
+        assert run_level(state, "znr").acmi_after == pytest.approx(1.0, abs=1e-12)
+
+
+def reference_deltas(state):
+    """Scalar delta_acmi for every eligible word, in word order."""
+    words = state.eligible_words()
+    return words, np.array([
+        delta_acmi(
+            state.matrix, state.bank.vectors(int(w)),
+            int(state.assignment[w]), int(state.assignment[w]) ^ 1,
+        ).delta
+        for w in words
+    ])
+
+
+def separated(values):
+    """True when the best value is unique by more than 1e-9."""
+    top = np.sort(values)[::-1]
+    return len(top) < 2 or top[0] - top[1] > 1e-9
+
+
+def search_states():
+    """Random mid-search states at C = 2..16, with empty siblings at C=2."""
+    for seed in range(40):
+        level = 1 + seed % 4
+        C = 1 << level
+        _, assignment, store = random_instance(500 + seed, C=C)
+        if level == 1 and seed % 8 == 0:
+            assignment[:] = 0
+        yield ClusterState(store, assignment, level)
+
+
+class TestSearchSelection:
+    def test_single_move_matches_scalar_loop(self):
+        checked = 0
+        for state in search_states():
+            words, d = reference_deltas(state)
+            if not separated(d):
+                continue
+            best = int(words[np.argmax(d)]) if d.size and d.max() > EPSILON else None
+            splitter._single_move_iteration(state)
+            chosen = [w for w, _, _ in state.moves_log]
+            assert chosen == ([] if best is None else [best])
+            checked += 1
+        assert checked >= 30
+
+    def test_parallel_matches_scalar_loop_per_parent(self):
+        checked = 0
+        for state in search_states():
+            words, d = reference_deltas(state)
+            parent = state.assignment[words] >> 1
+            if not all(separated(d[parent == p]) for p in np.unique(parent)):
+                continue
+            expected = set()
+            for p in np.unique(parent):
+                mine = np.flatnonzero(parent == p)
+                i = mine[np.argmax(d[mine])]
+                if d[i] > EPSILON:
+                    expected.add(int(words[i]))
+            splitter._parallel_iteration(state)
+            assert {w for w, _, _ in state.moves_log} == expected
+            checked += 1
+        assert checked >= 20
+
+    def test_first_word_wins_exact_ties(self):
+        # words 0 and 1 are mirror images: either exile gives the same split
+        vocab, stream, store = tiny_corpus(["a", "b"] * 100)
+        for strategy in ("znr", "znrp"):
+            state = ClusterState(store, np.array([0, 0]), 1)
+            run_level(state, strategy)
+            assert state.moves_log[0][0] == 0
+
+    def test_zero_delta_is_not_a_move(self):
+        # word 12 never occurs, so moving it scores exactly 0: once the
+        # level has converged, no iteration may commit it
+        rng = np.random.default_rng(14)
+        store = count_bigrams(make_stream(rng.integers(0, 12, 900)), 13)
+        for strategy, step in (
+            ("znr", splitter._single_move_iteration),
+            ("znrp", splitter._parallel_iteration),
+        ):
+            state = ClusterState(store, np.zeros(13, dtype=np.int32), 1)
+            run_level(state, strategy)
+            n_moves = len(state.moves_log)
+            assert step(state) == (False, 0, 0)
+            assert len(state.moves_log) == n_moves
+
+    def test_pinned_and_lone_words_never_scored(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        store = count_bigrams(make_stream(rng.integers(0, 12, 900)), 12)
+        # class 3 holds word 11 alone; word 0 is pinned
+        assignment = np.array([0, 0, 0, 1, 1, 1, 2, 2, 2, 2, 2, 3])
+        pinned = np.zeros(12, dtype=bool)
+        pinned[0] = True
+        kernel = splitter.batch_deltas
+        calls = []
+
+        def spy(matrix, bank, words, frm):
+            sizes = np.bincount(state.assignment, minlength=state.C)
+            calls.append(words.tolist())
+            assert not pinned[words].any()
+            assert (sizes[state.assignment[words]] >= 2).all()
+            return kernel(matrix, bank, words, frm)
+
+        monkeypatch.setattr(splitter, "batch_deltas", spy)
+        for strategy in ("znr", "znrp"):
+            state = ClusterState(store, assignment, 2, pinned_mask=pinned)
+            run_level(state, strategy)
+            assert 11 not in calls[0]
+            calls.clear()
 
 
 class TestCluster:
