@@ -38,7 +38,7 @@ from .errors import (
     TagsplitError,
     UndefinedObjectiveError,
 )
-from .objective import EPSILON, LogEvalCounter, MoveDelta, acmi, batch_deltas, delta_acmi
+from .objective import EPSILON, LogEvalCounter, acmi, batch_deltas, delta_acmi
 from .splitter import (
     MAX_LEVELS,
     STRATEGIES,
@@ -70,7 +70,6 @@ __all__ = [
     "LevelStats",
     "LogEvalCounter",
     "MAX_LEVELS",
-    "MoveDelta",
     "Partition",
     "STRATEGIES",
     "TagRow",

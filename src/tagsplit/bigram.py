@@ -134,14 +134,6 @@ class ContextVectors:
     right: np.ndarray
     self_count: int
 
-    @property
-    def succ_total(self) -> int:
-        return int(self.left.sum())
-
-    @property
-    def pred_total(self) -> int:
-        return int(self.right.sum())
-
 
 def context_vectors(store: BigramStore, assignment: np.ndarray, w: int, C: int) -> ContextVectors:
     """Compute one word's context vectors by a pass over its sparse lists."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 import time
@@ -39,6 +40,7 @@ from .errors import (
     IngestionError,
     TagsplitError,
 )
+from .objective import EPSILON
 from .splitter import (
     MAX_LEVELS,
     STRATEGIES,
@@ -69,6 +71,11 @@ def read_text_file(path: Path) -> str:
         ) from e
 
 
+def _text_lines(path: Path) -> io.StringIO:
+    """A decoded file as a line stream with universal newlines, as open() gives."""
+    return io.StringIO(read_text_file(path), newline=None)
+
+
 def load_corpus(paths: list[Path], options: TokenizerOptions) -> list[str]:
     """Tokenize and concatenate files; a forced boundary separates files."""
     tokens: list[str] = []
@@ -89,7 +96,7 @@ def write_tags_tsv(path: Path, tags: TagTable) -> None:
 
 def read_tags_tsv(path: Path) -> TagTable:
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with _text_lines(path) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != ["surface", "bit_string", "frequency", "class_id"]:
             raise ConfigError(f"{path}: unexpected tag TSV header {header}")
@@ -121,21 +128,28 @@ def write_stats_csv(path: Path, stats: list[LevelStats]) -> None:
 
 def read_pins_tsv(path: Path) -> dict[str, str]:
     pins: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if header != ["surface", "bit_string"]:
-                raise ConfigError(f"{path}: pin file header must be surface<TAB>bit_string")
-            for n, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2 or not parts[1] or set(parts[1]) - {"0", "1"}:
-                    raise ConfigError(f"{path}:{n}: bad pin line {line!r}")
-                pins[parts[0]] = parts[1]
+        fh = _text_lines(path)
     except OSError as e:
         raise ConfigError(f"cannot read pin file {path}: {e}") from e
+    header = fh.readline().rstrip("\n").split("\t")
+    if header != ["surface", "bit_string"]:
+        raise ConfigError(f"{path}: pin file header must be surface<TAB>bit_string")
+    for n, line in enumerate(fh, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[1] or set(parts[1]) - {"0", "1"}:
+            raise ConfigError(f"{path}:{n}: bad pin line {line!r}")
+        surface, bits = parts
+        if surface in line_of:
+            raise ConfigError(
+                f"{path}:{n}: {surface!r} is already pinned on line {line_of[surface]}"
+            )
+        line_of[surface] = n
+        pins[surface] = bits
     return pins
 
 
@@ -258,8 +272,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.gold == "builtin-elman":
         gold = ELMAN_GOLD
     else:
-        with open(args.gold, encoding="utf-8") as fh:
-            gold = read_gold_tsv(fh)
+        gold = read_gold_tsv(_text_lines(Path(args.gold)))
     report = evaluate(tags, gold)
     print(f"level1_separation: {report.level1_separation}")
     print(f"dendrogram_purity: {_real(report.dendrogram_purity)}")
@@ -398,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--levels", type=int, default=MAX_LEVELS)
     c.add_argument("--method", choices=STRATEGIES, default="znrp")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--epsilon", type=float, default=1e-12)
+    c.add_argument("--epsilon", type=float, default=EPSILON)
     c.add_argument("--pin", default=None, metavar="PATH")
     c.add_argument("--lowercase", action="store_true")
     c.add_argument("--boundary", choices=["none", "token"], default="none")

@@ -25,7 +25,6 @@ exactly how many it took.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,14 +53,6 @@ class LogEvalCounter:
     def _add(self, n: int) -> None:
         self.last_call += n
         self.total += n
-
-
-@dataclass(frozen=True)
-class MoveDelta:
-    word: int
-    frm: int
-    to: int
-    delta: float
 
 
 def acmi(matrix: ClassMatrix) -> float:
@@ -147,7 +138,7 @@ def delta_acmi(
     frm: int,
     to: int,
     counter: LogEvalCounter | None = None,
-) -> MoveDelta:
+) -> float:
     """Change in ACMI if ctx.word moved frm -> to; the matrix is untouched.
 
     Only cells in rows {frm, to} and columns {frm, to} can change, so the
@@ -200,7 +191,7 @@ def delta_acmi(
         row2, col2, a, b, T,
         counter,
     )
-    return MoveDelta(ctx.word, frm, to, after - before_sum)
+    return after - before_sum
 
 
 def _h(n: np.ndarray) -> np.ndarray:
@@ -242,23 +233,19 @@ def batch_deltas(
     b = a ^ 1
     store = bank.store
     N = matrix.counts
-    slot = np.full(store.V, -1, dtype=np.int64)  # word -> position in words
-    slot[words] = np.arange(len(words))
     total = np.zeros(len(words), dtype=np.float64)
 
     # off-corner cells: rows a and b at w's successor classes, then
     # columns a and b (rows of N.T) at w's predecessor classes
     for ctx, lines in ((bank.left, N), (bank.right, N.T)):
-        w, j = np.nonzero(ctx)
-        k = slot[w]
-        keep = k >= 0
-        k, w, j = k[keep], w[keep], j[keep]
+        sub = ctx[words]
+        k, j = np.nonzero(sub)
         keep = (j != a[k]) & (j != b[k])
-        k, w, j = k[keep], w[keep], j[keep]
-        x = ctx[w, j]
+        k, j = k[keep], j[keep]
+        x = sub[k, j]
         na = lines[a[k], j]
         nb = lines[b[k], j]
-        _check_counts("cell", na - x, w)
+        _check_counts("cell", na - x, words[k])
         total += np.bincount(
             k, _h(na - x) - _h(na) + _h(nb + x) - _h(nb), minlength=len(words)
         )

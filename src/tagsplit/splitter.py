@@ -3,17 +3,24 @@
 Each level appends one bit to every word's class id: class c splits into
 children 2c (bit 0) and 2c+1 (bit 1), and a local search moves words
 between sibling children while the move improves average class mutual
-information.  Three strategies are provided:
+information.  The three strategies differ only in initialization and in
+the group each search step picks its best move from:
 
-  m     random initial bit per word per level; each iteration commits the
-        single best move over all words.
+  m     random initial bit per word per level; one group, so each step
+        commits the single best move over all words.
   znr   non-random initialization: every word starts in the bit-0 child
         and the bit-1 child starts empty, so the search only has to exile
-        the minority.  One best move per iteration, as for m.
-  znrp  znr plus parallel moves: each iteration commits one best candidate
-        per parent class; if the combined batch lowered the objective,
-        moves are retracted one at a time, lowest-scoring first, until it
-        no longer sits below the iteration-start value.
+        the minority.  One group, as for m.
+  znrp  znr initialization, one group per parent class, so each step
+        commits the best move of every class being split.
+
+A step scores every eligible move in one batch, against the state frozen
+at step start, and commits the best of each group if it beats epsilon
+(ties go to the lowest word id).  A lone move's frozen delta is exact, so
+it is booked without a rescan.  A batch of two or more is rescanned with
+acmi(); if it lowered the objective, its moves are retracted one at a
+time, lowest-scoring first, until it no longer sits below the step-start
+value.
 
 Classes reduced to a single word are carried down unchanged (bit 0) and
 their word's tag stops growing at that depth.  Pinned words take their
@@ -53,7 +60,6 @@ class ClusterConfig:
     levels: int = MAX_LEVELS
     seed: int = 0
     epsilon: float = EPSILON
-    max_iterations_per_level: int | None = None  # defaults to 4*V
     pinned: dict[str, str] | None = None  # surface -> bit path
 
     def __post_init__(self) -> None:
@@ -212,59 +218,44 @@ class ClusterState:
         self._shift(w, int(self.assignment[w]), back_to)
 
 
-def _scored(state: ClusterState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eligible words ascending, their classes, delta of moving each to its sibling)."""
+def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int, int]:
+    """One search step: score every eligible move, commit the best of each group.
+
+    The group is the parent class (frm >> 1) when per_parent, else all words
+    form one group.  Every move is scored against the matrix and context
+    vectors frozen at step start, so the selections are order-independent.
+    Returns (progressed, committed, retracted).
+    """
     words = state.eligible_words()
     frm = state.assignment[words]
-    return words, frm, batch_deltas(state.matrix, state.bank, words, frm)
-
-
-def _single_move_iteration(state: ClusterState) -> tuple[bool, int, int]:
-    words, frm, d = _scored(state)
-    if not len(words):
-        return False, 0, 0
-    i = int(np.argmax(d))  # first maximum: ties go to the lowest word id
-    if not d[i] > state.epsilon:
-        return False, 0, 0
-    state.commit(int(words[i]), int(frm[i]) ^ 1)
-    state.acmi += float(d[i])
-    return True, 1, 0
-
-
-def _parallel_iteration(state: ClusterState) -> tuple[bool, int, int]:
-    # score against the matrix and context vectors frozen at iteration
-    # start, so the per-parent selections are order-independent
-    words, frm, d = _scored(state)
-    if not len(words):
-        return False, 0, 0
-    parent = frm >> 1
-    # by parent, then best delta, then lowest word id: the first row of
-    # each parent's run is its best candidate
-    order = np.lexsort((words, -d, parent))
-    p = parent[order]
-    best = order[np.r_[True, p[1:] != p[:-1]]]
+    d = batch_deltas(state.matrix, state.bank, words, frm)
+    group = frm >> 1 if per_parent else np.zeros_like(frm)
+    # by group, then best delta, then lowest word id: the first row of
+    # each group's run is its best candidate
+    order = np.lexsort((words, -d, group))
+    best = order[np.diff(group[order], prepend=-1) != 0]
     best = best[d[best] > state.epsilon]
     if not len(best):
         return False, 0, 0
-    acmi_start = state.acmi
-    committed: list[tuple[float, int, int]] = []  # (frozen delta, word, old class)
+    start = state.acmi
     for i in best:
-        w, f = int(words[i]), int(frm[i])
-        state.commit(w, f ^ 1)
-        committed.append((float(d[i]), w, f))
+        state.commit(int(words[i]), int(frm[i]) ^ 1)
+    if len(best) == 1:
+        # a lone move's frozen delta is exact
+        state.acmi = start + float(d[best[0]])
+        return True, 1, 0
     state.acmi = acmi(state.matrix)
-    n_retracted = 0
-    if state.acmi < acmi_start:
-        committed.sort(key=lambda t: (t[0], t[1]))  # lowest scoring word first
-        for _, w, f in committed:
-            if state.acmi >= acmi_start:
-                break
-            state.retract(w, f)
-            state.acmi = acmi(state.matrix)
-            n_retracted += 1
-    net = len(committed) - n_retracted
-    progressed = net > 0 and (state.acmi - acmi_start) > state.epsilon
-    return progressed, len(committed), n_retracted
+    retracted = 0
+    # a batch that lowered the objective gives back its lowest-scoring
+    # moves first until it no longer sits below the step-start value
+    for i in sorted(best, key=lambda i: (float(d[i]), int(words[i]))):
+        if state.acmi >= start:
+            break
+        state.retract(int(words[i]), int(frm[i]))
+        state.acmi = acmi(state.matrix)
+        retracted += 1
+    progressed = retracted < len(best) and state.acmi - start > state.epsilon
+    return progressed, len(best), retracted
 
 
 def run_level(state: ClusterState, strategy: str) -> LevelStats:
@@ -274,14 +265,12 @@ def run_level(state: ClusterState, strategy: str) -> LevelStats:
     iterations = committed = retracted = 0
     capped = False
     trace: list[float] = []
-    step = (
-        _parallel_iteration if strategy == STRATEGY_PARALLEL else _single_move_iteration
-    )
+    per_parent = strategy == STRATEGY_PARALLEL
     while True:
         if iterations >= state.max_iterations:
             capped = True
             break
-        progressed, n_c, n_r = step(state)
+        progressed, n_c, n_r = _iteration(state, per_parent)
         committed += n_c
         retracted += n_r
         if not progressed:
@@ -362,7 +351,6 @@ def cluster(
             level,
             pinned_mask=pinned_mask,
             epsilon=config.epsilon,
-            max_iterations=config.max_iterations_per_level,
         )
         stats.append(run_level(state, config.strategy))
         partition = Partition(level, state.assignment)

@@ -131,7 +131,7 @@ def test_criterion_1_and_2_delta_oracle_and_cost():
             for to in range(C):
                 if to == frm:
                     continue
-                d = delta_acmi(matrix, bank.vectors(w), frm, to, counter).delta
+                d = delta_acmi(matrix, bank.vectors(w), frm, to, counter)
                 if counter.last_call > 8 * (C - 1):
                     over_budget += 1
                 after = matrix.copy()

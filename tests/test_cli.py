@@ -137,6 +137,21 @@ class TestCluster:
         rc, *_ = run_cluster(elman_corpus, tmp_path, "--pin", str(pin))
         assert rc == EXIT_USAGE
 
+    def test_undecodable_pin_file_exit_2(self, elman_corpus, tmp_path, capsys):
+        pin = tmp_path / "pins.tsv"
+        pin.write_bytes(b"surface\tbit_string\nm\xffan\t1\n")
+        rc, *_ = run_cluster(elman_corpus, tmp_path, "--pin", str(pin))
+        assert rc == EXIT_USAGE
+        assert f"{pin}: undecodable byte at offset 20" in capsys.readouterr().err
+
+    def test_duplicate_pin_surface_exit_2(self, elman_corpus, tmp_path, capsys):
+        pin = tmp_path / "pins.tsv"
+        pin.write_text("surface\tbit_string\nman\t1\neat\t0\nman\t0\n")
+        rc, tags, _ = run_cluster(elman_corpus, tmp_path, "--pin", str(pin))
+        assert rc == EXIT_USAGE
+        assert f"{pin}:4: 'man' is already pinned on line 2" in capsys.readouterr().err
+        assert not tags.exists()
+
     def test_pin_file_honored(self, elman_corpus, tmp_path):
         pin = tmp_path / "pins.tsv"
         pin.write_text("surface\tbit_string\neat\t1\nsleep\t1\n")
@@ -179,6 +194,22 @@ class TestEvaluate:
         tags.write_text("surface\tbit_string\tfrequency\tclass_id\nman\t0\t3\t0\n")
         rc = main(["evaluate", "--tags", str(tags), "--gold", "builtin-elman"])
         assert rc == EXIT_USAGE
+
+    def test_undecodable_tags_exit_2(self, tmp_path, capsys):
+        tags = tmp_path / "tags.tsv"
+        tags.write_bytes(b"surface\tbit_string\tfrequency\tclass_id\nman\xe9\t0\t3\t0\n")
+        rc = main(["evaluate", "--tags", str(tags), "--gold", "builtin-elman"])
+        assert rc == EXIT_USAGE
+        assert f"{tags}: undecodable byte at offset 41" in capsys.readouterr().err
+
+    def test_undecodable_gold_exit_2(self, elman_corpus, tmp_path, capsys):
+        rc, tags, _ = run_cluster(elman_corpus, tmp_path, levels="6")
+        assert rc == EXIT_OK
+        gold = tmp_path / "gold.tsv"
+        gold.write_bytes(b"word\tgroup\tpos\n\x80man\tnoun\tN\n")
+        rc = main(["evaluate", "--tags", str(tags), "--gold", str(gold)])
+        assert rc == EXIT_USAGE
+        assert f"{gold}: undecodable byte at offset 15" in capsys.readouterr().err
 
     def test_gold_tsv_export_and_use(self, elman_corpus, tmp_path):
         gold = tmp_path / "gold.tsv"

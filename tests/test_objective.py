@@ -91,7 +91,7 @@ class TestDeltaAcmi:
         matrix = class_matrix(store, assignment, 2)
         bank = ContextBank(store, assignment, 2)
         d = delta_acmi(matrix, bank.vectors(2), 0, 1)
-        assert d.delta == pytest.approx(0.0, abs=1e-12)
+        assert d == pytest.approx(0.0, abs=1e-12)
 
     def test_same_class_rejected(self):
         _, assignment, matrix, bank = self._setup(3, 4)
@@ -107,7 +107,7 @@ class TestDeltaAcmi:
                 for to in range(C):
                     if to == frm:
                         continue
-                    d = delta_acmi(matrix, bank.vectors(w), frm, to).delta
+                    d = delta_acmi(matrix, bank.vectors(w), frm, to)
                     after = matrix.copy()
                     apply_move(after, bank.vectors(w), frm, to)
                     assert d == pytest.approx(
@@ -138,11 +138,11 @@ class TestDeltaAcmi:
         w = int(np.argmax(store.succ_total))
         frm = int(assignment[w])
         to = (frm + 1) % 4
-        d1 = delta_acmi(matrix, bank.vectors(w), frm, to).delta
+        d1 = delta_acmi(matrix, bank.vectors(w), frm, to)
         scaled = ClassMatrix(4, matrix.counts * 7)
         ctx = bank.vectors(w)
         ctx_scaled = type(ctx)(ctx.word, ctx.left * 7, ctx.right * 7, ctx.self_count * 7)
-        d7 = delta_acmi(scaled, ctx_scaled, frm, to).delta
+        d7 = delta_acmi(scaled, ctx_scaled, frm, to)
         assert d7 == pytest.approx(d1, abs=1e-12)
 
     def test_stale_vectors_detected(self):
@@ -168,17 +168,17 @@ class TestDeltaAcmi:
         w = int(np.argmax(store.pred_total))
         frm = int(assignment[w])
         to = (frm + 3) % 8
-        d_fwd = delta_acmi(matrix, bank.vectors(w), frm, to).delta
+        d_fwd = delta_acmi(matrix, bank.vectors(w), frm, to)
         apply_move(matrix, bank.vectors(w), frm, to)
         bank.move(w, frm, to)
         assignment[w] = to
-        d_back = delta_acmi(matrix, bank.vectors(w), to, frm).delta
+        d_back = delta_acmi(matrix, bank.vectors(w), to, frm)
         assert d_fwd + d_back == pytest.approx(0.0, abs=1e-10)
 
 
 def scalar_deltas(matrix, bank, words, frm):
     return np.array([
-        delta_acmi(matrix, bank.vectors(int(w)), int(f), int(f) ^ 1).delta
+        delta_acmi(matrix, bank.vectors(int(w)), int(f), int(f) ^ 1)
         for w, f in zip(words, frm)
     ])
 
@@ -198,6 +198,26 @@ class TestBatchDeltas:
         matrix = class_matrix(store, assignment, C)
         bank = ContextBank(store, assignment, C)
         words = np.arange(store.V)
+        frm = assignment[words]
+        d = batch_deltas(matrix, bank, words, frm)
+        assert np.allclose(d, scalar_deltas(matrix, bank, words, frm), rtol=0, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        C=st.sampled_from([2, 4, 8, 16]),
+        pick=st.integers(0, 2**32 - 1),
+    )
+    def test_strict_subset_of_eligible_words_matches_oracle(self, seed, C, pick):
+        # the kernel gathers only the scored words' context rows, in any order
+        _, assignment, store = random_instance(seed, C=C)
+        eligible = np.flatnonzero(np.bincount(assignment, minlength=C)[assignment] >= 2)
+        if len(eligible) < 2:
+            return
+        rng = np.random.default_rng(pick)
+        words = rng.choice(eligible, int(rng.integers(1, len(eligible))), replace=False)
+        matrix = class_matrix(store, assignment, C)
+        bank = ContextBank(store, assignment, C)
         frm = assignment[words]
         d = batch_deltas(matrix, bank, words, frm)
         assert np.allclose(d, scalar_deltas(matrix, bank, words, frm), rtol=0, atol=1e-9)

@@ -9,6 +9,7 @@ from tagsplit import (
     ConsistencyError,
     IngestionError,
     Partition,
+    acmi,
     build_vocabulary,
     cluster,
     count_bigrams,
@@ -152,7 +153,7 @@ def reference_deltas(state):
         delta_acmi(
             state.matrix, state.bank.vectors(int(w)),
             int(state.assignment[w]), int(state.assignment[w]) ^ 1,
-        ).delta
+        )
         for w in words
     ])
 
@@ -182,7 +183,7 @@ class TestSearchSelection:
             if not separated(d):
                 continue
             best = int(words[np.argmax(d)]) if d.size and d.max() > EPSILON else None
-            splitter._single_move_iteration(state)
+            splitter._iteration(state, False)
             chosen = [w for w, _, _ in state.moves_log]
             assert chosen == ([] if best is None else [best])
             checked += 1
@@ -201,7 +202,7 @@ class TestSearchSelection:
                 i = mine[np.argmax(d[mine])]
                 if d[i] > EPSILON:
                     expected.add(int(words[i]))
-            splitter._parallel_iteration(state)
+            splitter._iteration(state, True)
             assert {w for w, _, _ in state.moves_log} == expected
             checked += 1
         assert checked >= 20
@@ -219,15 +220,30 @@ class TestSearchSelection:
         # level has converged, no iteration may commit it
         rng = np.random.default_rng(14)
         store = count_bigrams(make_stream(rng.integers(0, 12, 900)), 13)
-        for strategy, step in (
-            ("znr", splitter._single_move_iteration),
-            ("znrp", splitter._parallel_iteration),
-        ):
+        for strategy, per_parent in (("znr", False), ("znrp", True)):
             state = ClusterState(store, np.zeros(13, dtype=np.int32), 1)
             run_level(state, strategy)
             n_moves = len(state.moves_log)
-            assert step(state) == (False, 0, 0)
+            assert splitter._iteration(state, per_parent) == (False, 0, 0)
             assert len(state.moves_log) == n_moves
+
+    def test_lone_parallel_move_books_exact_acmi(self):
+        # at level 1 there is one parent, so every znrp step commits at
+        # most one move and books its frozen delta without a rescan
+        steps = 0
+        for state in search_states():
+            if state.level != 1:
+                continue
+            while True:
+                n_moves = len(state.moves_log)
+                progressed, n_c, n_r = splitter._iteration(state, True)
+                if not progressed:
+                    break
+                assert (n_c, n_r) == (1, 0)
+                assert len(state.moves_log) == n_moves + 1
+                assert abs(state.acmi - acmi(state.matrix)) <= 1e-9
+                steps += 1
+        assert steps >= 20
 
     def test_pinned_and_lone_words_never_scored(self, monkeypatch):
         rng = np.random.default_rng(13)
