@@ -18,7 +18,6 @@ from .bigram import (
     ContextVectors,
     apply_move,
     class_matrix,
-    context_vectors,
     count_bigrams,
 )
 from .corpus import (
@@ -86,7 +85,6 @@ __all__ = [
     "class_matrix",
     "classify_rare",
     "cluster",
-    "context_vectors",
     "count_bigrams",
     "delta_acmi",
     "init_level",

@@ -56,13 +56,6 @@ class BigramStore:
         lo, hi = self._pred_bounds[w], self._pred_bounds[w + 1]
         return self._pred_left[lo:hi], self._pred_counts[lo:hi]
 
-    def pair_count(self, w: int, v: int) -> int:
-        ids, cnts = self.succ(w)
-        i = np.searchsorted(ids, v)
-        if i < len(ids) and ids[i] == v:
-            return int(cnts[i])
-        return 0
-
 
 def count_bigrams(stream: TokenStream, V: int | None = None) -> BigramStore:
     """Count adjacent in-segment pairs once each; breaks sever pairs."""
@@ -72,14 +65,11 @@ def count_bigrams(stream: TokenStream, V: int | None = None) -> BigramStore:
     if len(ids) < 2:
         empty = np.zeros(0, dtype=np.int64)
         return BigramStore(V, empty, empty, empty)
-    lw = ids[:-1].copy()
-    rw = ids[1:].copy()
-    keep = np.ones(len(lw), dtype=bool)
+    keep = np.ones(len(ids) - 1, dtype=bool)
     br = np.asarray(stream.breaks, dtype=np.int64)
     br = br[(br > 0) & (br < len(ids))]
     keep[br - 1] = False
-    lw, rw = lw[keep], rw[keep]
-    key = lw * V + rw
+    key = (ids[:-1] * V + ids[1:])[keep]
     uniq, cnt = np.unique(key, return_counts=True)
     return BigramStore(V, uniq // V, uniq % V, cnt.astype(np.int64))
 
@@ -133,19 +123,6 @@ class ContextVectors:
     left: np.ndarray
     right: np.ndarray
     self_count: int
-
-
-def context_vectors(store: BigramStore, assignment: np.ndarray, w: int, C: int) -> ContextVectors:
-    """Compute one word's context vectors by a pass over its sparse lists."""
-    if w < 0 or w >= store.V:
-        raise ValueError(f"unknown word id {w}")
-    left = np.zeros(C, dtype=np.int64)
-    ids, cnts = store.succ(w)
-    np.add.at(left, assignment[ids], cnts)
-    right = np.zeros(C, dtype=np.int64)
-    ids, cnts = store.pred(w)
-    np.add.at(right, assignment[ids], cnts)
-    return ContextVectors(w, left, right, int(store.self_count[w]))
 
 
 class ContextBank:

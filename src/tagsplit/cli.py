@@ -215,6 +215,7 @@ def build_pipeline(
     )
     tokens = load_corpus(paths, options)
     vocab, stream = build_vocabulary(tokens, top_words)
+    del tokens  # the token strings outweigh the id stream; free them before counting
     return vocab, stream, count_bigrams(stream, vocab.size)
 
 

@@ -8,7 +8,12 @@ context statistics available to the clustering instead of discarding them.
 
 Character classes follow Python's own ``str`` predicates: a "word"
 character is anything ``isalnum()``, whitespace is ``isspace()`` plus any
-non-printable character, and everything else counts as punctuation.
+non-printable character, and everything else counts as punctuation.  The
+tokenizer classifies only the text's distinct characters, then builds one
+pattern ``[word chars]+|[punct chars]+`` listing exactly those characters
+and splits the whole text with it in a single ``findall`` (per line when
+lines are sentences).  Encoding maps each distinct token to its id once
+and converts the token list to an id array in one numpy pass.
 """
 
 from __future__ import annotations
@@ -67,19 +72,20 @@ def _char_kind(ch: str) -> int:
     return 2
 
 
-def _tokenize_line(line: str, punctuation_as_tokens: bool) -> list[str]:
-    tokens: list[str] = []
-    start = -1
-    kind = 0
-    for i, ch in enumerate(line):
-        k = _char_kind(ch)
-        if k != kind:
-            if kind == 1 or (kind == 2 and punctuation_as_tokens):
-                tokens.append(line[start:i])
-            start, kind = i, k
-    if kind == 1 or (kind == 2 and punctuation_as_tokens):
-        tokens.append(line[start:])
-    return tokens
+def _token_pattern(text: str, punctuation_as_tokens: bool) -> re.Pattern | None:
+    """One pattern matching maximal word runs (and punctuation runs) of text.
+
+    The character classes list exactly the text's own characters of each
+    kind, so the split follows _char_kind with no regex approximation of
+    Python's str predicates.  None when the text has no token character.
+    """
+    kinds = {ch: _char_kind(ch) for ch in set(text)}
+    runs = []
+    for kind in (1, 2) if punctuation_as_tokens else (1,):
+        chars = "".join(ch for ch, k in kinds.items() if k == kind)
+        if chars:
+            runs.append(f"[{re.escape(chars)}]+")
+    return re.compile("|".join(runs)) if runs else None
 
 
 def tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
@@ -91,17 +97,20 @@ def tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
     opts = options or TokenizerOptions()
     if opts.lowercase:
         text = text.lower()
+    pattern = _token_pattern(text, opts.punctuation_as_tokens)
+    if pattern is None:
+        return []
     if opts.sentence_boundary == BOUNDARY_TOKEN_MODE:
         out: list[str] = []
         for line in text.split("\n"):
-            line_tokens = _tokenize_line(line, opts.punctuation_as_tokens)
+            line_tokens = pattern.findall(line)
             if not line_tokens:
                 continue
             if out:
                 out.append(BOUNDARY_TOKEN)
             out.extend(line_tokens)
         return out
-    return _tokenize_line(text, opts.punctuation_as_tokens)
+    return pattern.findall(text)
 
 
 def classify_rare(token: str) -> str:
@@ -202,12 +211,8 @@ def build_vocabulary(tokens: list[str], top_k: int) -> tuple[Vocabulary, TokenSt
     """
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
-    counts: Counter[str] = Counter()
-    n_tokens = 0
-    for t in tokens:
-        if t != BOUNDARY_TOKEN:
-            counts[t] += 1
-            n_tokens += 1
+    counts = Counter(tokens)
+    n_tokens = len(tokens) - counts.pop(BOUNDARY_TOKEN, 0)
     if n_tokens == 0:
         raise IngestionError("empty token stream: nothing to build a vocabulary from")
 
@@ -235,19 +240,15 @@ def build_vocabulary(tokens: list[str], top_k: int) -> tuple[Vocabulary, TokenSt
     )
     vocab = Vocabulary(entries)
 
-    ids = np.empty(n_tokens, dtype=np.int32)
-    breaks: list[int] = []
-    pos = 0
-    pending_break = False
-    for t in tokens:
-        if t == BOUNDARY_TOKEN:
-            pending_break = pos > 0
-            continue
-        if pending_break:
-            breaks.append(pos)
-            pending_break = False
-        surface = t if t in lexical_set else group_of[t]
-        ids[pos] = vocab.index[surface]
-        pos += 1
-    stream = TokenStream(ids=ids, breaks=np.array(breaks, dtype=np.int64))
-    return vocab, stream
+    id_of = {t: vocab.index[group_of.get(t, t)] for t in counts}
+    id_of[BOUNDARY_TOKEN] = -1
+    codes = np.fromiter(map(id_of.__getitem__, tokens), np.int32, len(tokens))
+    is_token = codes >= 0
+    # a boundary breaks the stream at the number of tokens before it (its
+    # index minus the boundaries before it); a run keeps one break, and
+    # none falls at either end.  No corpus-long int64 array is needed.
+    at = np.flatnonzero(~is_token)
+    pos = at - np.arange(len(at))
+    breaks = pos[pos > 0]
+    breaks = breaks[np.diff(breaks, append=n_tokens) > 0]
+    return vocab, TokenStream(ids=codes[is_token], breaks=breaks)

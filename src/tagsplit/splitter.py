@@ -60,7 +60,7 @@ class ClusterConfig:
     levels: int = MAX_LEVELS
     seed: int = 0
     epsilon: float = EPSILON
-    pinned: dict[str, str] | None = None  # surface -> bit path
+    pinned: dict[str, str] | None = None  # surface -> bit path, cut to `levels`
 
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
@@ -302,6 +302,8 @@ def _resolve_pins(vocab: Vocabulary, config: ClusterConfig) -> dict[int, str]:
     for surface, path in (config.pinned or {}).items():
         if surface not in vocab.index:
             raise ConfigError(f"pinned word {surface!r} is not in the vocabulary")
+        # pins share the tags format, so a deeper run's tags can pin a
+        # shallower run: bits past the last level are dropped
         pins[vocab.index[surface]] = path[: config.levels]
     return pins
 

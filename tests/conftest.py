@@ -1,8 +1,12 @@
 """Shared fixtures and independent brute-force oracles.
 
-The oracles recompute everything from the raw id stream with plain Python
-loops, deliberately avoiding the package's sparse stores and incremental
-updates so the two routes stay independent.
+The oracles recompute everything from the raw text, token list or id
+stream with plain Python loops, deliberately avoiding the package's
+compiled patterns, sparse stores and incremental updates so the two routes
+stay independent.  build_vocabulary_oracle shares only the package's
+rare-word classifier and pseudo-label pattern.  pair_count and
+context_vectors are the scalar lookups over a BigramStore that only tests
+need.
 """
 
 from __future__ import annotations
@@ -13,7 +17,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tagsplit import TokenStream, count_bigrams
+from tagsplit import (
+    BOUNDARY_TOKEN,
+    ContextVectors,
+    TokenizerOptions,
+    TokenStream,
+    Vocabulary,
+    classify_rare,
+    count_bigrams,
+)
+from tagsplit.corpus import _PSEUDO_LABEL_RE, LEXICAL, PSEUDO, VocabEntry
 
 
 def make_stream(ids, breaks=()) -> TokenStream:
@@ -32,6 +45,114 @@ def pair_counts_oracle(ids, breaks=()) -> Counter:
             continue
         pairs[(int(ids[i - 1]), int(ids[i]))] += 1
     return pairs
+
+
+def pair_count(store, w, v) -> int:
+    """f(w, v) looked up in the store's successor list."""
+    ids, cnts = store.succ(w)
+    i = np.searchsorted(ids, v)
+    if i < len(ids) and ids[i] == v:
+        return int(cnts[i])
+    return 0
+
+
+def context_vectors(store, assignment, w, C) -> ContextVectors:
+    """One word's context vectors by a pass over its sparse lists."""
+    if w < 0 or w >= store.V:
+        raise ValueError(f"unknown word id {w}")
+    left = np.zeros(C, dtype=np.int64)
+    ids, cnts = store.succ(w)
+    np.add.at(left, assignment[ids], cnts)
+    right = np.zeros(C, dtype=np.int64)
+    ids, cnts = store.pred(w)
+    np.add.at(right, assignment[ids], cnts)
+    return ContextVectors(w, left, right, int(store.self_count[w]))
+
+
+def _char_kind_oracle(ch: str) -> int:
+    # 0 = separator, 1 = word character, 2 = punctuation
+    if ch.isspace() or not ch.isprintable():
+        return 0
+    if ch.isalnum():
+        return 1
+    return 2
+
+
+def _tokenize_line_oracle(line: str, punctuation_as_tokens: bool) -> list[str]:
+    tokens: list[str] = []
+    start = -1
+    kind = 0
+    for i, ch in enumerate(line):
+        k = _char_kind_oracle(ch)
+        if k != kind:
+            if kind == 1 or (kind == 2 and punctuation_as_tokens):
+                tokens.append(line[start:i])
+            start, kind = i, k
+    if kind == 1 or (kind == 2 and punctuation_as_tokens):
+        tokens.append(line[start:])
+    return tokens
+
+
+def tokenize_oracle(text: str, options: TokenizerOptions) -> list[str]:
+    """The tokenizer as a per-character scan over each line."""
+    if options.lowercase:
+        text = text.lower()
+    if options.sentence_boundary != "token":
+        return _tokenize_line_oracle(text, options.punctuation_as_tokens)
+    out: list[str] = []
+    for line in text.split("\n"):
+        line_tokens = _tokenize_line_oracle(line, options.punctuation_as_tokens)
+        if not line_tokens:
+            continue
+        if out:
+            out.append(BOUNDARY_TOKEN)
+        out.extend(line_tokens)
+    return out
+
+
+def build_vocabulary_oracle(tokens: list[str], top_k: int):
+    """build_vocabulary with a per-token count loop and encode loop."""
+    counts: Counter[str] = Counter()
+    for t in tokens:
+        if t != BOUNDARY_TOKEN:
+            counts[t] += 1
+    plain = [t for t in counts if not _PSEUDO_LABEL_RE.match(t)]
+    plain.sort(key=lambda t: (-counts[t], t))
+    lexical = plain[:top_k]
+    lexical_set = set(lexical)
+
+    group_counts: Counter[str] = Counter()
+    group_of: dict[str, str] = {}
+    for t, c in counts.items():
+        if t in lexical_set:
+            continue
+        label = t if _PSEUDO_LABEL_RE.match(t) else classify_rare(t)
+        group_of[t] = label
+        group_counts[label] += c
+
+    entries = [VocabEntry(i, t, counts[t], LEXICAL) for i, t in enumerate(lexical)]
+    pseudo_labels = sorted(group_counts, key=lambda g: (-group_counts[g], g))
+    entries.extend(
+        VocabEntry(len(lexical) + i, g, group_counts[g], PSEUDO)
+        for i, g in enumerate(pseudo_labels)
+    )
+    vocab = Vocabulary(entries)
+
+    ids = np.empty(sum(counts.values()), dtype=np.int32)
+    breaks: list[int] = []
+    pos = 0
+    pending_break = False
+    for t in tokens:
+        if t == BOUNDARY_TOKEN:
+            pending_break = pos > 0
+            continue
+        if pending_break:
+            breaks.append(pos)
+            pending_break = False
+        surface = t if t in lexical_set else group_of[t]
+        ids[pos] = vocab.index[surface]
+        pos += 1
+    return vocab, TokenStream(ids=ids, breaks=np.array(breaks, dtype=np.int64))
 
 
 def class_matrix_oracle(ids, assignment, C, breaks=()) -> np.ndarray:

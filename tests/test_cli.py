@@ -161,6 +161,15 @@ class TestCluster:
         assert bits["eat"].startswith("1")
         assert bits["sleep"].startswith("1")
 
+    def test_pin_path_longer_than_levels_is_truncated(self, tmp_path):
+        corpus = tmp_path / "elman10k.txt"
+        main(["generate-elman", "--sentences", "10000", "--seed", "1", "--out", str(corpus)])
+        pin = tmp_path / "pins.tsv"
+        pin.write_text("surface\tbit_string\nman\t1111111\n")
+        rc, tags, _ = run_cluster(corpus, tmp_path, "--pin", str(pin), levels="3")
+        assert rc == EXIT_OK
+        assert read_tags_tsv(tags).bits_by_surface()["man"] == "111"
+
 
 class TestEvaluate:
     def test_gate_exit_codes(self, elman_corpus, tmp_path, capsys):

@@ -1,5 +1,10 @@
+import itertools
+import string
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tagsplit import (
     BOUNDARY_TOKEN,
@@ -11,6 +16,23 @@ from tagsplit import (
     tokenize,
 )
 from tagsplit.corpus import LEXICAL, PSEUDO
+from conftest import build_vocabulary_oracle, tokenize_oracle
+
+# Letters, digits and punctuation (regex metacharacters included), ASCII
+# and Unicode whitespace, non-printable separators, and non-ASCII word
+# characters, one of which lowercases to two characters of two kinds.
+MIXED_ALPHABET = (
+    string.ascii_letters[::5]
+    + string.digits[::3]
+    + string.punctuation
+    + "\t\r\n\x85 \xa0\u2028"
+    + "\u200b\x1e\x00"
+    + "é١²İß"
+)
+ALL_OPTIONS = [
+    TokenizerOptions(lowercase=lc, punctuation_as_tokens=pt, sentence_boundary=sb)
+    for lc, pt, sb in itertools.product((False, True), (False, True), ("none", "token"))
+]
 
 
 class TestTokenize:
@@ -51,6 +73,12 @@ class TestTokenize:
     def test_bad_boundary_mode_rejected(self):
         with pytest.raises(ConfigError):
             TokenizerOptions(sentence_boundary="paragraph")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(text=st.text(alphabet=st.sampled_from(MIXED_ALPHABET), max_size=60))
+    def test_matches_per_character_oracle(self, text):
+        for opts in ALL_OPTIONS:
+            assert tokenize(text, opts) == tokenize_oracle(text, opts), opts
 
 
 class TestClassifyRare:
@@ -148,6 +176,30 @@ class TestBuildVocabulary:
         tokens = [BOUNDARY_TOKEN, "a", BOUNDARY_TOKEN, BOUNDARY_TOKEN, "b", BOUNDARY_TOKEN]
         _, stream = build_vocabulary(tokens, 10)
         assert stream.breaks.tolist() == [1]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        tokens=st.lists(
+            st.sampled_from(
+                [BOUNDARY_TOKEN, "a", "b", "the", "ox", "xyz", "42", "7", "k9",
+                 "-", "don't", "é", "<word3>", "<numeric1>", "<nota9>"]
+            ),
+            max_size=40,
+        ),
+        lead=st.integers(0, 2),
+        trail=st.integers(0, 2),
+        top_k=st.integers(1, 8),
+    )
+    def test_matches_loop_oracle(self, tokens, lead, trail, top_k):
+        tokens = [BOUNDARY_TOKEN] * lead + tokens + [BOUNDARY_TOKEN] * trail
+        assume(any(t != BOUNDARY_TOKEN for t in tokens))
+        vocab, stream = build_vocabulary(tokens, top_k)
+        want_vocab, want = build_vocabulary_oracle(tokens, top_k)
+        assert vocab.entries == want_vocab.entries
+        assert stream.ids.dtype == want.ids.dtype
+        assert np.array_equal(stream.ids, want.ids)
+        assert stream.breaks.dtype == want.breaks.dtype
+        assert np.array_equal(stream.breaks, want.breaks)
 
     def test_errors(self):
         with pytest.raises(ConfigError):
