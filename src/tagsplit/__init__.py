@@ -44,7 +44,6 @@ from .splitter import (
     ClusterConfig,
     ClusterState,
     LevelStats,
-    Partition,
     TagRow,
     TagTable,
     cluster,
@@ -69,7 +68,6 @@ __all__ = [
     "LevelStats",
     "LogEvalCounter",
     "MAX_LEVELS",
-    "Partition",
     "STRATEGIES",
     "TagRow",
     "TagTable",

@@ -90,13 +90,6 @@ class ClassMatrix:
         m = ClassMatrix(self.C, self.counts.copy())
         return m
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ClassMatrix)
-            and self.C == other.C
-            and np.array_equal(self.counts, other.counts)
-        )
-
 
 def class_matrix(store: BigramStore, assignment: np.ndarray, C: int) -> ClassMatrix:
     """Tally the class-bigram table from scratch under an assignment."""

@@ -106,9 +106,16 @@ def read_tags_tsv(path: Path) -> TagTable:
                 continue
             try:
                 surface, bits, freq, cid = line.split("\t")
-                rows.append(TagRow(surface, bits, int(freq), int(cid)))
+                row = TagRow(surface, bits, int(freq), int(cid))
             except ValueError as e:
                 raise ConfigError(f"{path}:{n}: bad tag row {line!r}") from e
+            if not bits or set(bits) - {"0", "1"}:
+                raise ConfigError(f"{path}:{n}: bit string {bits!r} is not a 0/1 string")
+            if row.class_id != int(bits, 2):
+                raise ConfigError(
+                    f"{path}:{n}: class id {row.class_id} is not bit string {bits!r}"
+                )
+            rows.append(row)
     return TagTable(rows)
 
 
@@ -273,7 +280,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.gold == "builtin-elman":
         gold = ELMAN_GOLD
     else:
-        gold = read_gold_tsv(_text_lines(Path(args.gold)))
+        gold = read_gold_tsv(_text_lines(Path(args.gold)), args.gold)
     report = evaluate(tags, gold)
     print(f"level1_separation: {report.level1_separation}")
     print(f"dendrogram_purity: {_real(report.dendrogram_purity)}")
@@ -288,15 +295,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     print(
         f"csv:{int(report.level1_separation)},{_real(report.dendrogram_purity)},"
         f"{report.error_label},{group_vals}"
-    )
-    tags_path = Path(args.tags)
-    write_manifest(
-        tags_path.with_name(tags_path.name + ".evaluate.manifest.json"),
-        "evaluate",
-        {"tags": args.tags, "gold": args.gold},
-        inputs=[tags_path],
-        outputs=[],
-        timings={},
     )
     return EXIT_OK if report.error_label in ("none", "low") else EXIT_GATE
 

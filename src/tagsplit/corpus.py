@@ -173,9 +173,6 @@ class Vocabulary:
     def surface_of(self, word_id: int) -> str:
         return self.entries[word_id].surface
 
-    def frequencies(self) -> np.ndarray:
-        return np.array([e.frequency for e in self.entries], dtype=np.int64)
-
     def write_tsv(self, fh) -> None:
         fh.write("word_id\tsurface\tfrequency\tkind\n")
         for e in self.entries:

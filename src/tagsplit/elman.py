@@ -231,24 +231,27 @@ def write_gold_tsv(fh, gold: GoldReference = ELMAN_GOLD) -> None:
         fh.write(f"{w}\t{by_word.get(w, '')}\t{gold.pos.get(w, '')}\n")
 
 
-def read_gold_tsv(fh) -> GoldReference:
+def read_gold_tsv(fh, source: str = "gold TSV") -> GoldReference:
     """Load a gold reference from TSV (word, group, pos-label).
 
-    Words with an empty group are treated as ambiguous.
+    Words with an empty group are treated as ambiguous.  Errors name
+    `source` and the line number.
     """
     header = fh.readline().rstrip("\n").split("\t")
-    if header[:3] != ["word", "group", "pos"]:
-        raise ConfigError(f"unexpected gold TSV header: {header}")
+    if header != ["word", "group", "pos"]:
+        raise ConfigError(
+            f"{source}:1: gold TSV header must be word, group, pos; got {header}"
+        )
     groups: dict[str, set[str]] = {}
     ambiguous: set[str] = set()
     pos: dict[str, str] = {}
-    for line in fh:
+    for n, line in enumerate(fh, start=2):
         line = line.rstrip("\n")
         if not line:
             continue
         parts = line.split("\t")
         if len(parts) != 3:
-            raise ConfigError(f"bad gold TSV row {line!r}")
+            raise ConfigError(f"{source}:{n}: bad gold TSV row {line!r}")
         word, group, label = parts
         if group:
             groups.setdefault(group, set()).add(word)

@@ -22,13 +22,17 @@ acmi(); if it lowered the objective, its moves are retracted one at a
 time, lowest-scoring first, until it no longer sits below the step-start
 value.
 
-Classes reduced to a single word are carried down unchanged (bit 0) and
-their word's tag stops growing at that depth.  Pinned words take their
-prescribed bits, contribute fully to all counts, and are never moved.
+A word alone in its class rides down with bit 0 and stays alone: moves
+only cross sibling classes and a lone word is never eligible.  Its tag
+therefore ends at the first level where it is alone, which cluster()
+reads back from the final class ids, but never before its pin path ends.
+Pinned words take their prescribed bits while their path lasts,
+contribute fully to all counts, and are never moved.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -72,8 +76,10 @@ class ClusterConfig:
                 f"levels must be between 1 and {MAX_LEVELS} "
                 f"(at most 2^{MAX_LEVELS} = 1024 classes), got {self.levels}"
             )
-        if self.epsilon < 0:
-            raise ConfigError("epsilon must be non-negative")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ConfigError(
+                f"epsilon must be finite and non-negative, got {self.epsilon}"
+            )
         if self.pinned:
             for surface, path in self.pinned.items():
                 if not path or set(path) - {"0", "1"}:
@@ -81,22 +87,6 @@ class ClusterConfig:
                         f"pinned path for {surface!r} must be a non-empty bit string, "
                         f"got {path!r}"
                     )
-
-
-@dataclass
-class Partition:
-    """Word -> class assignment at one level; ids are accumulated bit paths."""
-
-    level: int
-    class_of: np.ndarray  # int32, values < 2**level
-
-    @property
-    def C(self) -> int:
-        return 1 << self.level
-
-    @staticmethod
-    def root(V: int) -> "Partition":
-        return Partition(0, np.zeros(V, dtype=np.int32))
 
 
 @dataclass(frozen=True)
@@ -133,37 +123,37 @@ class LevelStats:
 
 
 def init_level(
-    partition: Partition,
+    class_of: np.ndarray,
+    level: int,
     strategy: str,
     seed: int = 0,
     pinned_bits: dict[int, int] | None = None,
-    frozen: np.ndarray | None = None,
-) -> Partition:
-    """Assign every word its next bit, producing the level-L+1 partition.
+) -> np.ndarray:
+    """Append every word's next bit to its level-`level` class id.
 
-    Strategy m draws bits from a generator seeded by (seed, level); znr and
-    znrp put every word in the bit-0 child.  Words flagged frozen ride
-    along with bit 0; pinned_bits overrides both.
+    Returns the int32 class ids of level `level` + 1.  Strategy m draws
+    bits from a generator seeded by (seed, level); znr and znrp put every
+    word in the bit-0 child.  A word alone in its class rides along with
+    bit 0, so its class is carried down unchanged; pinned_bits overrides
+    both.
     """
-    if partition.level + 1 > MAX_LEVELS:
+    if level + 1 > MAX_LEVELS:
         raise ConfigError(
             f"cannot split beyond level {MAX_LEVELS} (1024-class cap)"
         )
-    V = len(partition.class_of)
+    V = len(class_of)
     if strategy == STRATEGY_RANDOM:
-        rng = np.random.default_rng((seed, partition.level))
+        rng = np.random.default_rng((seed, level))
         bits = rng.integers(0, 2, V, dtype=np.int32)
     elif strategy in (STRATEGY_NONRANDOM, STRATEGY_PARALLEL):
         bits = np.zeros(V, dtype=np.int32)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    if frozen is not None:
-        bits[frozen] = 0
+    bits[np.bincount(class_of)[class_of] == 1] = 0
     if pinned_bits:
         for w, b in pinned_bits.items():
             bits[w] = b
-    class_of = (partition.class_of.astype(np.int32) << 1) + bits
-    return Partition(partition.level + 1, class_of)
+    return (class_of.astype(np.int32) << 1) + bits
 
 
 class ClusterState:
@@ -188,7 +178,6 @@ class ClusterState:
         self.assignment = np.asarray(assignment, dtype=np.int32).copy()
         self.matrix = class_matrix(store, self.assignment, self.C)
         self.bank = ContextBank(store, self.assignment, self.C)
-        self.class_sizes = np.bincount(self.assignment, minlength=self.C)
         self.pinned_mask = (
             np.zeros(store.V, dtype=bool) if pinned_mask is None else pinned_mask
         )
@@ -199,15 +188,14 @@ class ClusterState:
 
     def eligible_words(self) -> np.ndarray:
         """Unpinned words whose class still has company (movable)."""
-        movable = ~self.pinned_mask & (self.class_sizes[self.assignment] >= 2)
+        sizes = np.bincount(self.assignment, minlength=self.C)
+        movable = ~self.pinned_mask & (sizes[self.assignment] >= 2)
         return np.nonzero(movable)[0]
 
     def _shift(self, w: int, frm: int, to: int) -> None:
         apply_move(self.matrix, self.bank.vectors(w), frm, to)
         self.bank.move(w, frm, to)
         self.assignment[w] = to
-        self.class_sizes[frm] -= 1
-        self.class_sizes[to] += 1
 
     def commit(self, w: int, to: int) -> None:
         frm = int(self.assignment[w])
@@ -326,43 +314,35 @@ def cluster(
     for w in pins:
         pinned_mask[w] = True
 
-    partition = Partition.root(V)
-    frozen_depth = np.full(V, -1, dtype=np.int32)
+    class_of = np.zeros(V, dtype=np.int32)
     stats: list[LevelStats] = []
     for level in range(1, config.levels + 1):
-        sizes = np.bincount(partition.class_of, minlength=partition.C)
-        lonely = sizes[partition.class_of] <= 1
-        for w in np.nonzero(lonely & (frozen_depth < 0))[0]:
-            # a pinned word keeps following its path before freezing
-            if pinned_mask[w] and len(pins[int(w)]) > partition.level:
-                continue
-            frozen_depth[w] = partition.level
         pinned_bits = {
             w: int(path[level - 1]) for w, path in pins.items() if len(path) >= level
         }
-        partition = init_level(
-            partition,
-            config.strategy,
-            seed=config.seed,
-            pinned_bits=pinned_bits,
-            frozen=frozen_depth >= 0,
+        class_of = init_level(
+            class_of, level - 1, config.strategy, config.seed, pinned_bits
         )
         state = ClusterState(
-            store,
-            partition.class_of,
-            level,
-            pinned_mask=pinned_mask,
-            epsilon=config.epsilon,
+            store, class_of, level, pinned_mask=pinned_mask, epsilon=config.epsilon
         )
         stats.append(run_level(state, config.strategy))
-        partition = Partition(level, state.assignment)
+        class_of = state.assignment
 
+    # a tag ends at the first level where its word is alone, and not before
+    # its pin path ends; a lone word's class never gains another word, so
+    # the final ids tell when that was
     s = config.levels
-    depths = np.where(frozen_depth >= 0, frozen_depth, s)
+    depths = np.full(V, s)
+    for level in range(s - 1, 0, -1):
+        prefix = class_of >> (s - level)
+        depths[np.bincount(prefix)[prefix] == 1] = level
+    for w, path in pins.items():
+        depths[w] = max(depths[w], len(path))
     rows = []
     for e in vocab.entries:
         d = int(depths[e.word_id])
-        cid = int(partition.class_of[e.word_id]) >> (s - d)
+        cid = int(class_of[e.word_id]) >> (s - d)
         rows.append(TagRow(e.surface, format(cid, f"0{d}b"), e.frequency, cid))
     return TagTable(rows), stats
 

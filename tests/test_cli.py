@@ -131,6 +131,15 @@ class TestCluster:
         rc, *_ = run_cluster(tmp_path / "nope.txt", tmp_path)
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    def test_epsilon_not_finite_non_negative_exit_2(
+        self, elman_corpus, tmp_path, capsys, epsilon
+    ):
+        rc, tags, _ = run_cluster(elman_corpus, tmp_path, f"--epsilon={epsilon}")
+        assert rc == EXIT_USAGE
+        assert "epsilon must be finite and non-negative" in capsys.readouterr().err
+        assert not tags.exists()
+
     def test_bad_pin_file_exit_2(self, elman_corpus, tmp_path):
         pin = tmp_path / "pins.tsv"
         pin.write_text("surface\tbit_string\nman\t012\n")
@@ -203,6 +212,48 @@ class TestEvaluate:
         tags.write_text("surface\tbit_string\tfrequency\tclass_id\nman\t0\t3\t0\n")
         rc = main(["evaluate", "--tags", str(tags), "--gold", "builtin-elman"])
         assert rc == EXIT_USAGE
+
+    def test_writes_nothing_and_returns_gate_code(self, elman_corpus, tmp_path, capsys):
+        rc, tags, _ = run_cluster(elman_corpus, tmp_path, levels="6")
+        assert rc == EXIT_OK
+        listing = sorted(p.name for p in tmp_path.iterdir())
+        rc = main(["evaluate", "--tags", str(tags), "--gold", "builtin-elman"])
+        label = capsys.readouterr().out.split("error_label: ")[1].split()[0]
+        assert rc == (EXIT_OK if label in ("none", "low") else EXIT_GATE)
+        assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            ("man\tab0\t3\t0", "bit string 'ab0' is not a 0/1 string"),
+            ("man\t\t3\t0", "bit string '' is not a 0/1 string"),
+            ("man\t011\t3\t999", "class id 999 is not bit string '011'"),
+        ],
+    )
+    def test_bad_tag_row_exit_2(self, tmp_path, capsys, row, problem):
+        tags = tmp_path / "tags.tsv"
+        tags.write_text(
+            f"surface\tbit_string\tfrequency\tclass_id\nwoman\t0\t3\t0\n{row}\n"
+        )
+        rc = main(["evaluate", "--tags", str(tags), "--gold", "builtin-elman"])
+        assert rc == EXIT_USAGE
+        assert f"{tags}:3: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("word\tgroup\tpos\textra\nman\tHUM\tN\t1\n", ":1: gold TSV header"),
+            ("word\tgroup\tpos\nman\tHUM\tN\ncat\tANIM\n", ":3: bad gold TSV row"),
+        ],
+    )
+    def test_bad_gold_file_exit_2(self, elman_corpus, tmp_path, capsys, text, where):
+        rc, tags, _ = run_cluster(elman_corpus, tmp_path, levels="6")
+        assert rc == EXIT_OK
+        gold = tmp_path / "gold.tsv"
+        gold.write_text(text)
+        rc = main(["evaluate", "--tags", str(tags), "--gold", str(gold)])
+        assert rc == EXIT_USAGE
+        assert f"{gold}{where}" in capsys.readouterr().err
 
     def test_undecodable_tags_exit_2(self, tmp_path, capsys):
         tags = tmp_path / "tags.tsv"

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import tagsplit
 from tagsplit import (
     EPSILON,
     ClusterConfig,
@@ -8,7 +11,6 @@ from tagsplit import (
     ConfigError,
     ConsistencyError,
     IngestionError,
-    Partition,
     acmi,
     build_vocabulary,
     cluster,
@@ -28,6 +30,10 @@ def tiny_corpus(tokens, top_k=None):
     return vocab, stream, store
 
 
+def test_every_public_name_resolves():
+    assert [n for n in tagsplit.__all__ if not hasattr(tagsplit, n)] == []
+
+
 class TestClusterConfig:
     def test_level_cap_message_cites_bound(self):
         with pytest.raises(ConfigError, match="1024"):
@@ -44,46 +50,52 @@ class TestClusterConfig:
             ClusterConfig(pinned={"the": "102"})
 
 
+def root(V):
+    return np.zeros(V, dtype=np.int32)
+
+
 class TestInitLevel:
     def test_znr_leaves_sibling_empty(self):
-        part = init_level(Partition.root(5), "znr")
-        assert part.level == 1
-        assert part.class_of.tolist() == [0] * 5
+        class_of = init_level(root(5), 0, "znr")
+        assert class_of.dtype == np.int32
+        assert class_of.tolist() == [0] * 5
 
     def test_m_is_deterministic_per_seed(self):
-        root = Partition.root(40)
-        a = init_level(root, "m", seed=7)
-        b = init_level(root, "m", seed=7)
-        assert np.array_equal(a.class_of, b.class_of)
-        c = init_level(root, "m", seed=8)
-        assert not np.array_equal(a.class_of, c.class_of)
+        a = init_level(root(40), 0, "m", seed=7)
+        b = init_level(root(40), 0, "m", seed=7)
+        assert np.array_equal(a, b)
+        c = init_level(root(40), 0, "m", seed=8)
+        assert not np.array_equal(a, c)
 
     def test_m_uses_level_in_seed(self):
-        lvl1 = init_level(Partition.root(40), "m", seed=7)
-        lvl2 = init_level(lvl1, "m", seed=7)
-        bits1 = lvl1.class_of
-        bits2 = lvl2.class_of - (lvl1.class_of << 1)
-        assert not np.array_equal(bits1, bits2)
+        lvl1 = init_level(root(40), 0, "m", seed=7)
+        lvl2 = init_level(lvl1, 1, "m", seed=7)
+        bits2 = lvl2 - (lvl1 << 1)
+        assert not np.array_equal(lvl1, bits2)
 
     def test_pinned_bit_overrides_znr(self):
-        part = init_level(Partition.root(4), "znr", pinned_bits={2: 1})
-        assert part.class_of.tolist() == [0, 0, 1, 0]
+        class_of = init_level(root(4), 0, "znr", pinned_bits={2: 1})
+        assert class_of.tolist() == [0, 0, 1, 0]
 
     def test_children_are_2c_and_2c_plus_1(self):
-        parent = Partition(2, np.array([0, 1, 2, 3], dtype=np.int32))
-        part = init_level(parent, "znr")
-        assert part.class_of.tolist() == [0, 2, 4, 6]
+        parent = np.array([0, 1, 2, 3, 3], dtype=np.int32)
+        class_of = init_level(parent, 2, "znr", pinned_bits={3: 1})
+        assert class_of.tolist() == [0, 2, 4, 7, 6]
 
     def test_frozen_words_ride_with_bit_zero(self):
-        part = init_level(
-            Partition.root(3), "m", seed=3, frozen=np.array([True, True, True])
-        )
-        assert part.class_of.tolist() == [0, 0, 0]
+        # words 0, 1 and 4 are alone in their classes; 2 and 3 share class 2
+        parent = np.array([0, 1, 2, 2, 3], dtype=np.int32)
+        for seed in range(20):
+            class_of = init_level(parent, 2, "m", seed=seed)
+            assert class_of[[0, 1, 4]].tolist() == [0, 2, 6]
+            assert (class_of[[2, 3]] >> 1).tolist() == [2, 2]
+        # a pin overrides the lone word's bit 0
+        class_of = init_level(parent, 2, "m", seed=0, pinned_bits={4: 1})
+        assert class_of[4] == 7
 
     def test_level_cap(self):
-        part = Partition(10, np.zeros(3, dtype=np.int32))
         with pytest.raises(ConfigError):
-            init_level(part, "znr")
+            init_level(root(3), 10, "znr")
 
 
 class TestRunLevel:
@@ -117,8 +129,8 @@ class TestRunLevel:
         stream = make_stream(ids)
         store = count_bigrams(stream, 12)
         for strategy in ("m", "znr", "znrp"):
-            part = init_level(Partition.root(12), strategy, seed=5)
-            state = ClusterState(store, part.class_of, 1)
+            class_of = init_level(root(12), 0, strategy, seed=5)
+            state = ClusterState(store, class_of, 1)
             stats = run_level(state, strategy)
             assert stats.acmi_after >= stats.acmi_before - 1e-12
             trace = [stats.acmi_before] + stats.acmi_trace
@@ -128,8 +140,8 @@ class TestRunLevel:
         rng = np.random.default_rng(4)
         ids = rng.integers(0, 20, 800)
         store = count_bigrams(make_stream(ids), 20)
-        part = init_level(Partition.root(20), "znr")
-        state = ClusterState(store, part.class_of, 1, max_iterations=1)
+        class_of = init_level(root(20), 0, "znr")
+        state = ClusterState(store, class_of, 1, max_iterations=1)
         stats = run_level(state, "znr")
         assert stats.capped
         assert stats.iterations == 1
@@ -338,6 +350,36 @@ class TestCluster:
         assert max(len(b) for b in bits.values()) <= 4
         lengths = sorted(len(b) for b in bits.values())
         assert lengths[0] < 4  # somebody froze before the last level
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        ids=st.lists(st.integers(0, 11), min_size=20, max_size=200),
+        strategy=st.sampled_from(splitter.STRATEGIES),
+        levels=st.integers(1, 6),
+        seed=st.integers(0, 3),
+        pins=st.dictionaries(
+            st.integers(0, 11), st.text("01", min_size=1, max_size=8), max_size=3
+        ),
+    )
+    def test_tag_ends_where_word_is_alone(self, ids, strategy, levels, seed, pins):
+        vocab, _, store = tiny_corpus([f"w{i}" for i in ids])
+        assume(vocab.size >= 2)
+        pinned = {f"w{w}": p for w, p in pins.items() if f"w{w}" in vocab.index}
+        config = ClusterConfig(
+            strategy=strategy, levels=levels, seed=seed, pinned=pinned or None
+        )
+        tags, _ = cluster(vocab, store, config)
+        bits = tags.bits_by_surface()
+        for surface, t in bits.items():
+            others = [u for other, u in bits.items() if other != surface]
+            path = pinned.get(surface, "")[:levels]
+            assert t.startswith(path)
+            if len(t) < levels:
+                # alone at its last level
+                assert not any(u.startswith(t) for u in others)
+            if len(t) > len(path):
+                # not alone one level up
+                assert any(u.startswith(t[:-1]) for u in others)
 
     def test_empty_corpus_rejected(self):
         vocab, _, store = tiny_corpus(["solo"])
