@@ -13,6 +13,7 @@ from tagsplit import (
     count_bigrams,
     tokenize,
 )
+from tagsplit.cli import write_vocab_tsv
 
 TEXT = """
 the cat sat on the mat . the dog sat on the rug .
@@ -31,7 +32,7 @@ print(f"{len(tokens)} tokens, e.g. {tokens[:12]}")
 vocab, stream = build_vocabulary(tokens, top_k=12)
 print(f"\nvocabulary (V={vocab.size}):")
 buf = io.StringIO()
-vocab.write_tsv(buf)
+write_vocab_tsv(buf, vocab)
 print(buf.getvalue())
 
 # 3. Count word bigrams and cluster: each level appends one bit to every

@@ -1,10 +1,11 @@
 """Command-line front end: generate-elman, cluster, evaluate, bench.
 
-Owns all on-disk formats: tag tables and vocabularies as TSV, per-level
-stats and benchmark results as CSV (UTF-8, LF endings, header rows, reals
-at 12 significant digits), pin files as TSV (surface, bit_string), and a
-JSON run manifest emitted alongside every output so results can be
-re-derived from recorded configuration and input digests.
+Owns all on-disk formats: tag, pin, gold and vocabulary tables as TSV,
+per-level stats and benchmark results as CSV, all written by write_table
+and read by read_table (UTF-8, LF endings, an exact header row, reals at
+12 significant digits, no first field repeated, errors naming path:line),
+and a JSON run manifest beside every output whose config is the parsed
+arguments, so the run can be repeated from it.
 
 Exit codes: 0 success, 1 evaluation gate failure (error level medium or
 high), 2 usage or input error, 3 internal invariant violation.
@@ -32,14 +33,8 @@ from .corpus import (
     build_vocabulary,
     tokenize,
 )
-from .elman import ELMAN_GOLD, evaluate, read_gold_tsv, sentences, write_gold_tsv
-from .errors import (
-    ConfigError,
-    ConsistencyError,
-    CoverageError,
-    IngestionError,
-    TagsplitError,
-)
+from .elman import ELMAN_GOLD, GoldReference, evaluate, sentences
+from .errors import ConfigError, ConsistencyError, IngestionError, TagsplitError
 from .objective import EPSILON
 from .splitter import (
     MAX_LEVELS,
@@ -55,6 +50,14 @@ EXIT_OK = 0
 EXIT_GATE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+TAGS_HEADER = ["surface", "bit_string", "frequency", "class_id"]
+GOLD_HEADER = ["word", "group", "pos"]
+STATS_HEADER = [
+    "level", "iterations", "committed_moves", "retracted_moves",
+    "acmi_before", "acmi_after", "wall_seconds", "capped",
+]
+BENCH_HEADER = ["V", "method", "seed", "level", "cumulative_seconds", "acmi_after"]
 
 
 def _real(x: float) -> str:
@@ -76,6 +79,10 @@ def _text_lines(path: Path) -> io.StringIO:
     return io.StringIO(read_text_file(path), newline=None)
 
 
+def _create(path: Path):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def load_corpus(paths: list[Path], options: TokenizerOptions) -> list[str]:
     """Tokenize and concatenate files; a forced boundary separates files."""
     tokens: list[str] = []
@@ -87,77 +94,138 @@ def load_corpus(paths: list[Path], options: TokenizerOptions) -> list[str]:
     return tokens
 
 
-def write_tags_tsv(path: Path, tags: TagTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("surface\tbit_string\tfrequency\tclass_id\n")
-        for r in tags.rows:
-            fh.write(f"{r.surface}\t{r.bits}\t{r.frequency}\t{r.class_id}\n")
+def read_table(
+    fh, header: list[str], source: Path | str, what: str, repeat: str = "listed"
+) -> list[tuple[int, list[str]]]:
+    """(line number, fields) of each non-blank row of a tab-separated table.
 
-
-def read_tags_tsv(path: Path) -> TagTable:
-    rows = []
-    with _text_lines(path) as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != ["surface", "bit_string", "frequency", "class_id"]:
-            raise ConfigError(f"{path}: unexpected tag TSV header {header}")
-        for n, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                surface, bits, freq, cid = line.split("\t")
-                row = TagRow(surface, bits, int(freq), int(cid))
-            except ValueError as e:
-                raise ConfigError(f"{path}:{n}: bad tag row {line!r}") from e
-            if not bits or set(bits) - {"0", "1"}:
-                raise ConfigError(f"{path}:{n}: bit string {bits!r} is not a 0/1 string")
-            if row.class_id != int(bits, 2):
-                raise ConfigError(
-                    f"{path}:{n}: class id {row.class_id} is not bit string {bits!r}"
-                )
-            rows.append(row)
-    return TagTable(rows)
-
-
-def write_stats_csv(path: Path, stats: list[LevelStats]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "level,iterations,committed_moves,retracted_moves,"
-            "acmi_before,acmi_after,wall_seconds,capped\n"
+    Checks the whole table before returning: the exact header, one field
+    per column, and no repeated first field.  Errors name ``source:line``
+    and call the table `what`; `repeat` says how a repeated first field
+    was already used ("listed", "pinned").
+    """
+    got = fh.readline().rstrip("\n").split("\t")
+    if got != header:
+        raise ConfigError(
+            f"{source}:1: {what} header must be {', '.join(header)}; got {got}"
         )
-        for s in stats:
-            fh.write(
-                f"{s.level},{s.iterations},{s.committed_moves},{s.retracted_moves},"
-                f"{_real(s.acmi_before)},{_real(s.acmi_after)},{_real(s.wall_time)},"
-                f"{int(s.capped)}\n"
-            )
-
-
-def read_pins_tsv(path: Path) -> dict[str, str]:
-    pins: dict[str, str] = {}
+    rows = []
     line_of: dict[str, int] = {}
-    try:
-        fh = _text_lines(path)
-    except OSError as e:
-        raise ConfigError(f"cannot read pin file {path}: {e}") from e
-    header = fh.readline().rstrip("\n").split("\t")
-    if header != ["surface", "bit_string"]:
-        raise ConfigError(f"{path}: pin file header must be surface<TAB>bit_string")
     for n, line in enumerate(fh, start=2):
         line = line.rstrip("\n")
         if not line:
             continue
-        parts = line.split("\t")
-        if len(parts) != 2 or not parts[1] or set(parts[1]) - {"0", "1"}:
-            raise ConfigError(f"{path}:{n}: bad pin line {line!r}")
-        surface, bits = parts
-        if surface in line_of:
+        fields = line.split("\t")
+        if len(fields) != len(header):
+            raise ConfigError(f"{source}:{n}: bad {what} row {line!r}")
+        key = fields[0]
+        if key in line_of:
             raise ConfigError(
-                f"{path}:{n}: {surface!r} is already pinned on line {line_of[surface]}"
+                f"{source}:{n}: {key!r} is already {repeat} on line {line_of[key]}"
             )
-        line_of[surface] = n
-        pins[surface] = bits
-    return pins
+        line_of[key] = n
+        rows.append((n, fields))
+    return rows
+
+
+def write_table(fh, header: list[str], rows, sep: str = "\t") -> None:
+    """Write a header row and the data rows, LF-terminated.
+
+    Reals are written at 12 significant digits, every other field as str().
+    """
+    fh.write(sep.join(header) + "\n")
+    for row in rows:
+        fields = (_real(f) if isinstance(f, float) else str(f) for f in row)
+        fh.write(sep.join(fields) + "\n")
+
+
+def _bit_string(source: Path, n: int, bits: str) -> str:
+    if not bits or set(bits) - {"0", "1"}:
+        raise ConfigError(f"{source}:{n}: bit string {bits!r} is not a 0/1 string")
+    return bits
+
+
+def write_tags_tsv(path: Path, tags: TagTable) -> None:
+    with _create(path) as fh:
+        rows = ((r.surface, r.bits, r.frequency, r.class_id) for r in tags.rows)
+        write_table(fh, TAGS_HEADER, rows)
+
+
+def read_tags_tsv(path: Path) -> TagTable:
+    rows = []
+    table = read_table(_text_lines(path), TAGS_HEADER, path, "tag TSV")
+    for n, (surface, bits, freq, cid) in table:
+        try:
+            row = TagRow(surface, bits, int(freq), int(cid))
+        except ValueError as e:
+            raise ConfigError(f"{path}:{n}: bad tag TSV row: {e}") from e
+        if row.class_id != int(_bit_string(path, n, bits), 2):
+            raise ConfigError(
+                f"{path}:{n}: class id {row.class_id} is not bit string {bits!r}"
+            )
+        rows.append(row)
+    return TagTable(rows)
+
+
+def write_stats_csv(path: Path, stats: list[LevelStats]) -> None:
+    rows = (
+        (s.level, s.iterations, s.committed_moves, s.retracted_moves,
+         s.acmi_before, s.acmi_after, s.wall_time, int(s.capped))
+        for s in stats
+    )
+    with _create(path) as fh:
+        write_table(fh, STATS_HEADER, rows, ",")
+
+
+def read_pins_tsv(path: Path) -> dict[str, str]:
+    header = ["surface", "bit_string"]
+    rows = read_table(_text_lines(path), header, path, "pin TSV", "pinned")
+    return {surface: _bit_string(path, n, bits) for n, (surface, bits) in rows}
+
+
+def write_gold_tsv(fh, gold: GoldReference = ELMAN_GOLD) -> None:
+    """Export a gold reference as TSV (word, group, pos-label)."""
+    group_of = {w: name for name, members in gold.groups.items() for w in members}
+    write_table(
+        fh,
+        GOLD_HEADER,
+        ((w, group_of.get(w, ""), gold.pos.get(w, "")) for w in sorted(gold.words)),
+    )
+
+
+def read_gold_tsv(fh, source: str = "gold TSV") -> GoldReference:
+    """Load a gold reference from TSV (word, group, pos-label).
+
+    Words with an empty group are treated as ambiguous.  The pos label is
+    noun, verb or empty.  Errors name `source` and the line number.
+    """
+    groups: dict[str, set[str]] = {}
+    ambiguous: set[str] = set()
+    pos: dict[str, str] = {}
+    for n, (word, group, label) in read_table(fh, GOLD_HEADER, source, "gold TSV"):
+        if label not in ("noun", "verb", ""):
+            raise ConfigError(
+                f"{source}:{n}: pos label {label!r} is not noun, verb or empty"
+            )
+        if group:
+            groups.setdefault(group, set()).add(word)
+        else:
+            ambiguous.add(word)
+        if label:
+            pos[word] = label
+    return GoldReference(
+        groups={k: frozenset(v) for k, v in groups.items()},
+        ambiguous=frozenset(ambiguous),
+        pos=pos,
+    )
+
+
+def write_vocab_tsv(fh, vocab: Vocabulary) -> None:
+    write_table(
+        fh,
+        ["word_id", "surface", "frequency", "kind"],
+        ((e.word_id, e.surface, e.frequency, e.kind) for e in vocab.entries),
+    )
 
 
 def _sha256(path: Path) -> str:
@@ -167,18 +235,20 @@ def _sha256(path: Path) -> str:
 
 
 def write_manifest(
-    path: Path,
-    command: str,
-    config: dict,
+    args: argparse.Namespace,
     inputs: list[Path],
     outputs: list[Path],
     timings: dict[str, float],
+    **derived,
 ) -> None:
+    """Write ``<first output>.manifest.json``; its config is the parsed
+    arguments under their argparse names plus `derived` facts of the run."""
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     doc = {
         "tool": "tagsplit",
         "version": __version__,
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": {**config, **derived},
         "inputs": [
             {"path": str(p), "sha256": _sha256(p), "bytes": p.stat().st_size}
             for p in inputs
@@ -186,7 +256,7 @@ def write_manifest(
         "outputs": [str(p) for p in outputs],
         "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(outputs[0].with_name(outputs[0].name + ".manifest.json")) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -197,17 +267,10 @@ def _cmd_generate_elman(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     corpus = sentences(args.sentences, args.seed)
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(out) as fh:
         for sent in corpus:
             fh.write(" ".join(sent) + "\n")
-    write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        "generate-elman",
-        {"sentences": args.sentences, "seed": args.seed, "out": str(out)},
-        inputs=[],
-        outputs=[out],
-        timings={"generate": time.perf_counter() - t0},
-    )
+    write_manifest(args, [], [out], {"generate": time.perf_counter() - t0})
     return EXIT_OK
 
 
@@ -229,7 +292,6 @@ def build_pipeline(
 def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.top_words < 1:
         raise ConfigError(f"--top-words must be >= 1, got {args.top_words}")
-    boundary = "token" if args.boundary == "token" else "none"
     config = ClusterConfig(
         strategy=args.method,
         levels=args.levels,
@@ -239,39 +301,19 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
+    inputs = [Path(p) for p in args.inputs]
     vocab, stream, store = build_pipeline(
-        [Path(p) for p in args.inputs], args.top_words, args.lowercase, boundary
+        inputs, args.top_words, args.lowercase, args.boundary
     )
     timings["ingest"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     tags, stats = cluster(vocab, store, config)
     timings["cluster"] = time.perf_counter() - t0
-    tags_path = Path(args.tags)
-    stats_path = Path(args.stats)
+    tags_path, stats_path = Path(args.tags), Path(args.stats)
     write_tags_tsv(tags_path, tags)
     write_stats_csv(stats_path, stats)
-    write_manifest(
-        tags_path.with_name(tags_path.name + ".manifest.json"),
-        "cluster",
-        {
-            "inputs": [str(p) for p in args.inputs],
-            "top_words": args.top_words,
-            "levels": args.levels,
-            "method": args.method,
-            "seed": args.seed,
-            "epsilon": args.epsilon,
-            "pin": args.pin,
-            "lowercase": args.lowercase,
-            "boundary": boundary,
-            "tags": str(tags_path),
-            "stats": str(stats_path),
-            "vocabulary_size": vocab.size,
-            "bigram_total": store.T,
-        },
-        inputs=[Path(p) for p in args.inputs],
-        outputs=[tags_path, stats_path],
-        timings=timings,
-    )
+    derived = {"vocabulary_size": vocab.size, "bigram_total": store.T}
+    write_manifest(args, inputs, [tags_path, stats_path], timings, **derived)
     return EXIT_OK
 
 
@@ -335,59 +377,34 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                     rows.append(
                         (vocab.size, method, seed, s.level, cumulative, s.acmi_after)
                     )
+    slopes = []
+    if len(top_words) >= 3:
+        max_level = max(r[3] for r in rows)
+        for method in methods:
+            by_v: dict[int, list[float]] = {}
+            for V, m, _, level, cum, _ in rows:
+                if m == method and level == max_level:
+                    by_v.setdefault(V, []).append(cum)
+            if len(by_v) < 3:
+                continue
+            vs = sorted(by_v)
+            ln_v = np.log([float(v) for v in vs])
+            ln_t = np.log([float(np.mean(by_v[v])) for v in vs])
+            slope, intercept = np.polyfit(ln_v, ln_t, 1)
+            slopes.append(("", method, "", "slope", slope, intercept))
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("V,method,seed,level,cumulative_seconds,acmi_after\n")
-        for V, method, seed, level, cum, val in rows:
-            fh.write(f"{V},{method},{seed},{level},{_real(cum)},{_real(val)}\n")
-        if len(top_words) >= 3:
-            max_level = max(r[3] for r in rows)
-            for method in methods:
-                finals = [
-                    (r[0], r[4])
-                    for r in rows
-                    if r[1] == method and r[3] == max_level
-                ]
-                by_v: dict[int, list[float]] = {}
-                for V, t in finals:
-                    by_v.setdefault(V, []).append(t)
-                if len(by_v) < 3:
-                    continue
-                vs = sorted(by_v)
-                ln_v = np.log([float(v) for v in vs])
-                ln_t = np.log([float(np.mean(by_v[v])) for v in vs])
-                slope, intercept = np.polyfit(ln_v, ln_t, 1)
-                fh.write(f",{method},,slope,{_real(slope)},{_real(intercept)}\n")
-    write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        "bench",
-        {
-            "in": args.inp,
-            "top_words": top_words,
-            "levels": args.levels,
-            "methods": methods,
-            "repeats": args.repeats,
-            "out": str(out),
-        },
-        inputs=[Path(args.inp)],
-        outputs=[out],
-        timings={"bench": time.perf_counter() - t_bench},
-    )
+    with _create(out) as fh:
+        write_table(fh, BENCH_HEADER, rows + slopes, ",")
+    timings = {"bench": time.perf_counter() - t_bench}
+    write_manifest(args, [Path(args.inp)], [out], timings)
     return EXIT_OK
 
 
 def _cmd_export_gold(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(out) as fh:
         write_gold_tsv(fh)
-    write_manifest(
-        out.with_name(out.name + ".manifest.json"),
-        "export-gold",
-        {"out": str(out)},
-        inputs=[],
-        outputs=[out],
-        timings={},
-    )
+    write_manifest(args, [], [out], {})
     return EXIT_OK
 
 
@@ -445,17 +462,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, IngestionError, CoverageError) as e:
-        print(f"tagsplit: error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except ConsistencyError as e:
         print(f"tagsplit: internal consistency failure: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    except OSError as e:
-        print(f"tagsplit: i/o error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except TagsplitError as e:
         print(f"tagsplit: error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as e:
+        print(f"tagsplit: i/o error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

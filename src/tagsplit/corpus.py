@@ -14,6 +14,9 @@ pattern ``[word chars]+|[punct chars]+`` listing exactly those characters
 and splits the whole text with it in a single ``findall`` (per line when
 lines are sentences).  Encoding maps each distinct token to its id once
 and converts the token list to an id array in one numpy pass.
+
+Nothing here touches the disk: tagsplit.cli reads the input files and
+writes the vocabulary as TSV (write_vocab_tsv).
 """
 
 from __future__ import annotations
@@ -172,11 +175,6 @@ class Vocabulary:
 
     def surface_of(self, word_id: int) -> str:
         return self.entries[word_id].surface
-
-    def write_tsv(self, fh) -> None:
-        fh.write("word_id\tsurface\tfrequency\tkind\n")
-        for e in self.entries:
-            fh.write(f"{e.word_id}\t{e.surface}\t{e.frequency}\t{e.kind}\n")
 
 
 @dataclass

@@ -18,6 +18,10 @@ containing both (their longest common tag prefix) and measure what
 fraction of the labelled words under that node belongs to the group.
 Group purity is the mean over the group's pairs; dendrogram purity pools
 all pairs.  A clean subtree per group scores 1.0.
+
+This module holds only the grammar and the scoring; the gold reference's
+TSV form is read and written by tagsplit.cli (read_gold_tsv,
+write_gold_tsv), which owns every on-disk format.
 """
 
 from __future__ import annotations
@@ -217,50 +221,4 @@ def evaluate(tags: TagTable, gold: GoldReference = ELMAN_GOLD) -> EvalReport:
         dendrogram_purity=dendrogram,
         per_group_purity=per_group,
         error_label=label,
-    )
-
-
-def write_gold_tsv(fh, gold: GoldReference = ELMAN_GOLD) -> None:
-    """Export the gold reference as TSV (word, group, pos-label)."""
-    fh.write("word\tgroup\tpos\n")
-    by_word = {}
-    for name, members in gold.groups.items():
-        for w in members:
-            by_word[w] = name
-    for w in sorted(gold.words):
-        fh.write(f"{w}\t{by_word.get(w, '')}\t{gold.pos.get(w, '')}\n")
-
-
-def read_gold_tsv(fh, source: str = "gold TSV") -> GoldReference:
-    """Load a gold reference from TSV (word, group, pos-label).
-
-    Words with an empty group are treated as ambiguous.  Errors name
-    `source` and the line number.
-    """
-    header = fh.readline().rstrip("\n").split("\t")
-    if header != ["word", "group", "pos"]:
-        raise ConfigError(
-            f"{source}:1: gold TSV header must be word, group, pos; got {header}"
-        )
-    groups: dict[str, set[str]] = {}
-    ambiguous: set[str] = set()
-    pos: dict[str, str] = {}
-    for n, line in enumerate(fh, start=2):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ConfigError(f"{source}:{n}: bad gold TSV row {line!r}")
-        word, group, label = parts
-        if group:
-            groups.setdefault(group, set()).add(word)
-        else:
-            ambiguous.add(word)
-        if label:
-            pos[word] = label
-    return GoldReference(
-        groups={k: frozenset(v) for k, v in groups.items()},
-        ambiguous=frozenset(ambiguous),
-        pos=pos,
     )

@@ -6,6 +6,7 @@ from tagsplit.cli import (
     EXIT_GATE,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     load_corpus,
     main,
     read_tags_tsv,
@@ -87,15 +88,41 @@ class TestCluster:
         assert manifest["config"]["method"] == "znrp"
         assert manifest["inputs"][0]["sha256"]
 
+    def test_manifest_config_reproduces_run(self, elman_corpus, tmp_path):
+        pin = tmp_path / "pins.tsv"
+        pin.write_text("surface\tbit_string\neat\t1\n")
+        rc, tags, _ = run_cluster(
+            elman_corpus, tmp_path, "--pin", str(pin), "--lowercase",
+            "--boundary", "token", "--epsilon", "1e-9", method="znr",
+        )
+        assert rc == EXIT_OK
+        config = json.loads((tmp_path / "tags.tsv.manifest.json").read_text())["config"]
+        assert config.pop("vocabulary_size") == 29
+        assert config.pop("bigram_total") > 0
+        rerun = tmp_path / "rerun"
+        rerun.mkdir()
+        config.update(tags=str(rerun / "tags.tsv"), stats=str(rerun / "stats.csv"))
+        argv = ["cluster", *(f"--in={p}" for p in config["inputs"])]
+        for key in ("top_words", "levels", "method", "seed", "epsilon", "pin",
+                    "boundary", "tags", "stats"):
+            argv.append(f"--{key.replace('_', '-')}={config[key]}")
+        if config["lowercase"]:
+            argv.append("--lowercase")
+        args = vars(build_parser().parse_args(argv))
+        assert {k: v for k, v in args.items() if k not in ("command", "func")} == config
+        assert main(argv) == EXIT_OK
+        assert (rerun / "tags.tsv").read_bytes() == tags.read_bytes()
+
     def test_capped_level_marked_in_stats_file(self, tmp_path):
         path = tmp_path / "stats.csv"
         levels = [
             LevelStats(1, 5, 5, 0, 0.0, 0.5, 0.01),
-            LevelStats(2, 8, 8, 0, 0.5, 0.9, 0.02, capped=True),
+            LevelStats(2, 8, 8, 0, 0.5, 2 / 3, 0.02, capped=True),
         ]
         write_stats_csv(path, levels)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         assert [row[-1] for row in rows] == ["0", "1"]
+        assert rows[1][5] == "0.666666666667"  # reals at 12 significant digits
 
     def test_acmi_monotone_in_stats_file(self, elman_corpus, tmp_path):
         rc, _, stats = run_cluster(elman_corpus, tmp_path)
@@ -140,11 +167,12 @@ class TestCluster:
         assert "epsilon must be finite and non-negative" in capsys.readouterr().err
         assert not tags.exists()
 
-    def test_bad_pin_file_exit_2(self, elman_corpus, tmp_path):
+    def test_bad_pin_file_exit_2(self, elman_corpus, tmp_path, capsys):
         pin = tmp_path / "pins.tsv"
         pin.write_text("surface\tbit_string\nman\t012\n")
         rc, *_ = run_cluster(elman_corpus, tmp_path, "--pin", str(pin))
         assert rc == EXIT_USAGE
+        assert f"{pin}:2: bit string '012' is not a 0/1 string" in capsys.readouterr().err
 
     def test_undecodable_pin_file_exit_2(self, elman_corpus, tmp_path, capsys):
         pin = tmp_path / "pins.tsv"
@@ -228,6 +256,8 @@ class TestEvaluate:
             ("man\tab0\t3\t0", "bit string 'ab0' is not a 0/1 string"),
             ("man\t\t3\t0", "bit string '' is not a 0/1 string"),
             ("man\t011\t3\t999", "class id 999 is not bit string '011'"),
+            ("woman\t1\t3\t1", "'woman' is already listed on line 2"),
+            ("man\t0\t3\t0\t1", "bad tag TSV row"),
         ],
     )
     def test_bad_tag_row_exit_2(self, tmp_path, capsys, row, problem):
@@ -244,6 +274,14 @@ class TestEvaluate:
         [
             ("word\tgroup\tpos\textra\nman\tHUM\tN\t1\n", ":1: gold TSV header"),
             ("word\tgroup\tpos\nman\tHUM\tN\ncat\tANIM\n", ":3: bad gold TSV row"),
+            (
+                "word\tgroup\tpos\nman\tHUM\tnoun\nboy\tHUM\tnoun\nman\tANIM\tnoun\n",
+                ":4: 'man' is already listed on line 2",
+            ),
+            (
+                "word\tgroup\tpos\nman\tHUM\tNoun\n",
+                ":2: pos label 'Noun' is not noun, verb or empty",
+            ),
         ],
     )
     def test_bad_gold_file_exit_2(self, elman_corpus, tmp_path, capsys, text, where):
@@ -300,6 +338,12 @@ class TestBench:
         assert rc == EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0] == "V,method,seed,level,cumulative_seconds,acmi_after"
+        manifest = json.loads((tmp_path / "bench.csv.manifest.json").read_text())
+        assert manifest["command"] == "bench"
+        assert manifest["config"] == {
+            "inp": str(elman_corpus), "top_words": "29", "levels": 3,
+            "methods": "znrp,m", "repeats": 3, "lowercase": False, "out": str(out),
+        }
         body = [l.split(",") for l in lines[1:]]
         # znrp once + m fastest/slowest of 3, each reporting 3 levels
         assert len(body) == 3 * 3

@@ -15,6 +15,7 @@ from tagsplit import (
     classify_rare,
     tokenize,
 )
+from tagsplit.cli import write_vocab_tsv
 from tagsplit.corpus import LEXICAL, PSEUDO
 from conftest import build_vocabulary_oracle, tokenize_oracle
 
@@ -226,7 +227,7 @@ class TestBuildVocabulary:
         vocab, _ = build_vocabulary("a b a c".split(), 2)
         out = tmp_path / "vocab.tsv"
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            vocab.write_tsv(fh)
+            write_vocab_tsv(fh, vocab)
         lines = out.read_text().splitlines()
         assert lines[0] == "word_id\tsurface\tfrequency\tkind"
         assert lines[1] == "0\ta\t2\tlexical"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tagsplit import CoverageError, TagRow, TagTable
+from tagsplit.cli import read_gold_tsv, write_gold_tsv
 from tagsplit.elman import (
     sentences_with_rules,
     ELMAN_GOLD,
@@ -13,9 +14,7 @@ from tagsplit.elman import (
     WORD_CLASSES,
     evaluate,
     generate,
-    read_gold_tsv,
     sentences,
-    write_gold_tsv,
 )
 
 
