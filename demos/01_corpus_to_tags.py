@@ -23,13 +23,15 @@ dogs chase cats , cats chase mice , mice fear cats .
 """ * 40
 
 # 1. Tokenize.  Punctuation runs become tokens of their own, matching how
-#    novels are usually profiled for class induction.
-tokens = tokenize(TEXT, TokenizerOptions(lowercase=True))
-print(f"{len(tokens)} tokens, e.g. {tokens[:12]}")
+#    novels are usually profiled for class induction.  A text is a list of
+#    segments; bigrams never span two.  Here newlines are plain whitespace,
+#    so the whole text is one segment.
+segments = tokenize(TEXT, TokenizerOptions(lowercase=True))
+print(f"{len(segments[0])} tokens, e.g. {segments[0][:12]}")
 
 # 2. Keep the 12 most frequent words; pool the rest as pseudo-words by
 #    morphological shape and length, so their bigram mass still counts.
-vocab, stream = build_vocabulary(tokens, top_k=12)
+vocab, stream = build_vocabulary(segments, top_k=12)
 print(f"\nvocabulary (V={vocab.size}):")
 buf = io.StringIO()
 write_vocab_tsv(buf, vocab)

@@ -16,7 +16,7 @@ for n_sentences in (10_000, 2_000, 1_000):
     print(f"\n=== {n_sentences} sentences ===")
     for method in ("znr", "znrp", "m"):
         tokens = generate(n_sentences, seed=1)
-        vocab, stream = build_vocabulary(tokens, 29)
+        vocab, stream = build_vocabulary([tokens], 29)
         store = count_bigrams(stream, vocab.size)
         tags, _ = cluster(
             vocab, store, ClusterConfig(strategy=method, levels=6, seed=1)
@@ -31,7 +31,7 @@ for n_sentences in (10_000, 2_000, 1_000):
 
 print("\nA full tag tree for the 10k corpus (znrp):")
 tokens = generate(10_000, seed=1)
-vocab, stream = build_vocabulary(tokens, 29)
+vocab, stream = build_vocabulary([tokens], 29)
 store = count_bigrams(stream, vocab.size)
 tags, _ = cluster(vocab, store, ClusterConfig(strategy="znrp", levels=6))
 for r in sorted(tags.rows, key=lambda r: r.bits):

@@ -27,7 +27,7 @@ for V, target in [(1000, (700, 300)), (1000, (500, 500)), (800, (660, 140))]:
 print("\nActual committed moves per level on a synthetic English-like text:")
 sentences = markov_text(60_000, n_types=4_000, n_states=20, seed=3)
 tokens = [w for s in sentences for w in s]
-vocab, stream = build_vocabulary(tokens, 256)
+vocab, stream = build_vocabulary([tokens], 256)
 store = count_bigrams(stream, vocab.size)
 print(f"  corpus: {len(tokens)} tokens, V={vocab.size}, T={store.T}")
 

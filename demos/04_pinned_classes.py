@@ -13,7 +13,7 @@ from tagsplit import ClusterConfig, build_vocabulary, cluster, count_bigrams
 from tagsplit.elman import ELMAN_GOLD, generate
 
 tokens = generate(10_000, seed=1)
-vocab, stream = build_vocabulary(tokens, 29)
+vocab, stream = build_vocabulary([tokens], 29)
 store = count_bigrams(stream, vocab.size)
 
 verbs = sorted(w for w, p in ELMAN_GOLD.pos.items() if p == "verb")

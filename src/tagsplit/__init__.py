@@ -21,7 +21,6 @@ from .bigram import (
     count_bigrams,
 )
 from .corpus import (
-    BOUNDARY_TOKEN,
     TokenizerOptions,
     TokenStream,
     Vocabulary,
@@ -53,7 +52,6 @@ from .splitter import (
 )
 
 __all__ = [
-    "BOUNDARY_TOKEN",
     "BigramStore",
     "ClassMatrix",
     "ClusterConfig",

@@ -25,14 +25,7 @@ import numpy as np
 
 from . import __version__
 from .bigram import BigramStore, count_bigrams
-from .corpus import (
-    BOUNDARY_TOKEN,
-    TokenizerOptions,
-    TokenStream,
-    Vocabulary,
-    build_vocabulary,
-    tokenize,
-)
+from .corpus import TokenizerOptions, TokenStream, Vocabulary, build_vocabulary, tokenize
 from .elman import ELMAN_GOLD, GoldReference, evaluate, sentences
 from .errors import ConfigError, ConsistencyError, IngestionError, TagsplitError
 from .objective import EPSILON
@@ -81,17 +74,6 @@ def _text_lines(path: Path) -> io.StringIO:
 
 def _create(path: Path):
     return open(path, "w", encoding="utf-8", newline="\n")
-
-
-def load_corpus(paths: list[Path], options: TokenizerOptions) -> list[str]:
-    """Tokenize and concatenate files; a forced boundary separates files."""
-    tokens: list[str] = []
-    for path in paths:
-        file_tokens = tokenize(read_text_file(path), options)
-        if tokens and file_tokens:
-            tokens.append(BOUNDARY_TOKEN)
-        tokens.extend(file_tokens)
-    return tokens
 
 
 def read_table(
@@ -228,6 +210,21 @@ def write_vocab_tsv(fh, vocab: Vocabulary) -> None:
     )
 
 
+def _manifest_path(first_output: Path) -> Path:
+    return first_output.with_name(first_output.name + ".manifest.json")
+
+
+def _distinct_files(*paths: Path) -> None:
+    """Refuse a command that names one file twice, before it does any work,
+    so no output overwrites an input or another output."""
+    seen: dict[Path, Path] = {}
+    for p in paths:
+        resolved = p.resolve()
+        if resolved in seen:
+            raise ConfigError(f"{seen[resolved]} and {p} are the same file")
+        seen[resolved] = p
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     h.update(path.read_bytes())
@@ -256,7 +253,7 @@ def write_manifest(
         "outputs": [str(p) for p in outputs],
         "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
     }
-    with _create(outputs[0].with_name(outputs[0].name + ".manifest.json")) as fh:
+    with _create(_manifest_path(outputs[0])) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -277,21 +274,25 @@ def _cmd_generate_elman(args: argparse.Namespace) -> int:
 def build_pipeline(
     paths: list[Path], top_words: int, lowercase: bool, boundary: str
 ) -> tuple[Vocabulary, TokenStream, BigramStore]:
-    """Shared corpus -> vocabulary -> bigram pipeline for cluster and bench."""
-    options = TokenizerOptions(
-        lowercase=lowercase,
-        punctuation_as_tokens=True,
-        sentence_boundary=boundary,
+    """Shared corpus -> vocabulary -> bigram pipeline for cluster and bench.
+
+    Every file's segments join one list, so no bigram spans two files.
+    """
+    options = TokenizerOptions(lowercase=lowercase, sentence_boundary=boundary)
+    vocab, stream = build_vocabulary(
+        [seg for path in paths for seg in tokenize(read_text_file(path), options)],
+        top_words,
     )
-    tokens = load_corpus(paths, options)
-    vocab, stream = build_vocabulary(tokens, top_words)
-    del tokens  # the token strings outweigh the id stream; free them before counting
     return vocab, stream, count_bigrams(stream, vocab.size)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.top_words < 1:
         raise ConfigError(f"--top-words must be >= 1, got {args.top_words}")
+    inputs = [Path(p) for p in args.inputs]
+    tags_path, stats_path = Path(args.tags), Path(args.stats)
+    pins = [Path(args.pin)] if args.pin else []
+    _distinct_files(tags_path, stats_path, _manifest_path(tags_path), *inputs, *pins)
     config = ClusterConfig(
         strategy=args.method,
         levels=args.levels,
@@ -301,7 +302,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     )
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    inputs = [Path(p) for p in args.inputs]
     vocab, stream, store = build_pipeline(
         inputs, args.top_words, args.lowercase, args.boundary
     )
@@ -309,7 +309,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     tags, stats = cluster(vocab, store, config)
     timings["cluster"] = time.perf_counter() - t0
-    tags_path, stats_path = Path(args.tags), Path(args.stats)
     write_tags_tsv(tags_path, tags)
     write_stats_csv(stats_path, stats)
     derived = {"vocabulary_size": vocab.size, "bigram_total": store.T}
@@ -352,12 +351,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise ConfigError(f"unknown method {m!r} in --methods")
     if args.repeats < 1:
         raise ConfigError("--repeats must be >= 1")
+    inp, out = Path(args.inp), Path(args.out)
+    _distinct_files(out, _manifest_path(out), inp)
     rows: list[tuple[int, str, int, int, float, float]] = []
     t_bench = time.perf_counter()
     for k in top_words:
-        vocab, stream, store = build_pipeline(
-            [Path(args.inp)], k, args.lowercase, "none"
-        )
+        vocab, stream, store = build_pipeline([inp], k, args.lowercase, "none")
         for method in methods:
             runs = []
             seeds = range(1, args.repeats + 1) if method == "m" else [0]
@@ -392,11 +391,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             ln_t = np.log([float(np.mean(by_v[v])) for v in vs])
             slope, intercept = np.polyfit(ln_v, ln_t, 1)
             slopes.append(("", method, "", "slope", slope, intercept))
-    out = Path(args.out)
     with _create(out) as fh:
         write_table(fh, BENCH_HEADER, rows + slopes, ",")
     timings = {"bench": time.perf_counter() - t_bench}
-    write_manifest(args, [Path(args.inp)], [out], timings)
+    write_manifest(args, [inp], [out], timings)
     return EXIT_OK
 
 

@@ -6,14 +6,20 @@ that pool everything rarer by a coarse morphological tag and exact length
 (``<word9>``, ``<numeric3>``, ...).  Pooling the rare words keeps their
 context statistics available to the clustering instead of discarding them.
 
+A corpus is a list of segments, each a list of tokens, and no bigram
+spans two segments.  tokenize returns a text's non-empty segments (its
+lines under sentence_boundary="token", else the whole text); the segments
+of several files are simply concatenated, and build_vocabulary turns the
+segment lengths into the stream's break positions.
+
 Character classes follow Python's own ``str`` predicates: a "word"
 character is anything ``isalnum()``, whitespace is ``isspace()`` plus any
-non-printable character, and everything else counts as punctuation.  The
-tokenizer classifies only the text's distinct characters, then builds one
-pattern ``[word chars]+|[punct chars]+`` listing exactly those characters
-and splits the whole text with it in a single ``findall`` (per line when
-lines are sentences).  Encoding maps each distinct token to its id once
-and converts the token list to an id array in one numpy pass.
+non-printable character, and everything else counts as punctuation, whose
+maximal runs are tokens too.  The tokenizer classifies only the text's
+distinct characters, then builds one pattern ``[word chars]+|[punct
+chars]+`` listing exactly those characters and splits the text with it in
+a single ``findall`` per segment.  Encoding maps each distinct token to its
+id once and converts all tokens to an id array in one numpy pass.
 
 Nothing here touches the disk: tagsplit.cli reads the input files and
 writes the vocabulary as TSV (write_vocab_tsv).
@@ -24,18 +30,11 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigError, IngestionError
-
-# Sentinel emitted between sentences when sentence_boundary="token".
-# Tokenization treats non-printable characters as whitespace, so this can
-# never be produced from input text.
-BOUNDARY_TOKEN = "\x1e"
-
-BOUNDARY_NONE = "none"
-BOUNDARY_TOKEN_MODE = "token"
 
 LEXICAL = "lexical"
 PSEUDO = "pseudo"
@@ -49,18 +48,15 @@ class TokenizerOptions:
     """Tokenization switches.
 
     lowercase: fold cased letters before splitting.
-    punctuation_as_tokens: emit each maximal punctuation run as a token
-        (otherwise punctuation only separates).
     sentence_boundary: "none" treats newlines as whitespace; "token"
-        emits BOUNDARY_TOKEN between lines so bigrams never cross them.
+        makes each line a segment of its own, so bigrams never cross them.
     """
 
     lowercase: bool = False
-    punctuation_as_tokens: bool = True
-    sentence_boundary: str = BOUNDARY_NONE
+    sentence_boundary: str = "none"
 
     def __post_init__(self) -> None:
-        if self.sentence_boundary not in (BOUNDARY_NONE, BOUNDARY_TOKEN_MODE):
+        if self.sentence_boundary not in ("none", "token"):
             raise ConfigError(
                 f"sentence_boundary must be 'none' or 'token', got {self.sentence_boundary!r}"
             )
@@ -75,8 +71,8 @@ def _char_kind(ch: str) -> int:
     return 2
 
 
-def _token_pattern(text: str, punctuation_as_tokens: bool) -> re.Pattern | None:
-    """One pattern matching maximal word runs (and punctuation runs) of text.
+def _token_pattern(text: str) -> re.Pattern | None:
+    """One pattern matching maximal word runs and punctuation runs of text.
 
     The character classes list exactly the text's own characters of each
     kind, so the split follows _char_kind with no regex approximation of
@@ -84,36 +80,27 @@ def _token_pattern(text: str, punctuation_as_tokens: bool) -> re.Pattern | None:
     """
     kinds = {ch: _char_kind(ch) for ch in set(text)}
     runs = []
-    for kind in (1, 2) if punctuation_as_tokens else (1,):
+    for kind in (1, 2):
         chars = "".join(ch for ch, k in kinds.items() if k == kind)
         if chars:
             runs.append(f"[{re.escape(chars)}]+")
     return re.compile("|".join(runs)) if runs else None
 
 
-def tokenize(text: str, options: TokenizerOptions | None = None) -> list[str]:
-    """Split text into tokens; deterministic and whitespace-free.
+def tokenize(text: str, options: TokenizerOptions | None = None) -> list[list[str]]:
+    """Split text into its non-empty segments of tokens.
 
-    With sentence_boundary="token" a BOUNDARY_TOKEN separates the tokens
-    of consecutive non-empty lines.
+    Deterministic and whitespace-free.  With sentence_boundary="token"
+    each line is a segment, otherwise the whole text is one.
     """
     opts = options or TokenizerOptions()
     if opts.lowercase:
         text = text.lower()
-    pattern = _token_pattern(text, opts.punctuation_as_tokens)
+    pattern = _token_pattern(text)
     if pattern is None:
         return []
-    if opts.sentence_boundary == BOUNDARY_TOKEN_MODE:
-        out: list[str] = []
-        for line in text.split("\n"):
-            line_tokens = pattern.findall(line)
-            if not line_tokens:
-                continue
-            if out:
-                out.append(BOUNDARY_TOKEN)
-            out.extend(line_tokens)
-        return out
-    return pattern.findall(text)
+    lines = text.split("\n") if opts.sentence_boundary == "token" else [text]
+    return [seg for line in lines if (seg := pattern.findall(line))]
 
 
 def classify_rare(token: str) -> str:
@@ -181,7 +168,7 @@ class Vocabulary:
 class TokenStream:
     """Dense-id encoding of a corpus.
 
-    ids: int32 word ids, one per token (boundary sentinels removed).
+    ids: int32 word ids, one per token.
     breaks: sorted positions p meaning no bigram spans ids[p-1] -> ids[p].
     """
 
@@ -195,21 +182,27 @@ class TokenStream:
         return [vocab.surface_of(int(i)) for i in self.ids]
 
 
-def build_vocabulary(tokens: list[str], top_k: int) -> tuple[Vocabulary, TokenStream]:
-    """Build the top-k vocabulary and encode the token sequence.
+def build_vocabulary(
+    segments: list[list[str]], top_k: int
+) -> tuple[Vocabulary, TokenStream]:
+    """Build the top-k vocabulary and encode the segments as one stream.
 
     The top_k most frequent distinct tokens become lexical entries (ties at
     the cut broken lexicographically); every other token is replaced by its
     pseudo-group label.  Tokens that already look like pseudo-group labels
     map straight to their group, which makes decode + rebuild a fixed point.
-    BOUNDARY_TOKEN sentinels become stream break positions.
+    Segments are concatenated; the stream breaks where one non-empty
+    segment ends and the next begins.  Pass a flat token list as [tokens].
     """
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
-    counts = Counter(tokens)
-    n_tokens = len(tokens) - counts.pop(BOUNDARY_TOKEN, 0)
+    if any(isinstance(seg, str) for seg in segments):
+        raise ConfigError("segments must be token lists; pass a flat token list as [tokens]")
+    lengths = np.fromiter(map(len, segments), np.int64, len(segments))
+    n_tokens = int(lengths.sum())
     if n_tokens == 0:
         raise IngestionError("empty token stream: nothing to build a vocabulary from")
+    counts = Counter(chain.from_iterable(segments))
 
     plain = [t for t in counts if not _PSEUDO_LABEL_RE.match(t)]
     plain.sort(key=lambda t: (-counts[t], t))
@@ -236,14 +229,8 @@ def build_vocabulary(tokens: list[str], top_k: int) -> tuple[Vocabulary, TokenSt
     vocab = Vocabulary(entries)
 
     id_of = {t: vocab.index[group_of.get(t, t)] for t in counts}
-    id_of[BOUNDARY_TOKEN] = -1
-    codes = np.fromiter(map(id_of.__getitem__, tokens), np.int32, len(tokens))
-    is_token = codes >= 0
-    # a boundary breaks the stream at the number of tokens before it (its
-    # index minus the boundaries before it); a run keeps one break, and
-    # none falls at either end.  No corpus-long int64 array is needed.
-    at = np.flatnonzero(~is_token)
-    pos = at - np.arange(len(at))
-    breaks = pos[pos > 0]
-    breaks = breaks[np.diff(breaks, append=n_tokens) > 0]
-    return vocab, TokenStream(ids=codes[is_token], breaks=breaks)
+    ids = np.fromiter(
+        map(id_of.__getitem__, chain.from_iterable(segments)), np.int32, n_tokens
+    )
+    breaks = np.cumsum(lengths[lengths > 0])[:-1]
+    return vocab, TokenStream(ids=ids, breaks=breaks)

@@ -1,6 +1,6 @@
 """Shared fixtures and independent brute-force oracles.
 
-The oracles recompute everything from the raw text, token list or id
+The oracles recompute everything from the raw text, token segments or id
 stream with plain Python loops, deliberately avoiding the package's
 compiled patterns, sparse stores and incremental updates so the two routes
 stay independent.  build_vocabulary_oracle shares only the package's
@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from tagsplit import (
-    BOUNDARY_TOKEN,
     ContextVectors,
     TokenizerOptions,
     TokenStream,
@@ -78,43 +77,40 @@ def _char_kind_oracle(ch: str) -> int:
     return 2
 
 
-def _tokenize_line_oracle(line: str, punctuation_as_tokens: bool) -> list[str]:
+def _tokenize_line_oracle(line: str) -> list[str]:
     tokens: list[str] = []
     start = -1
     kind = 0
     for i, ch in enumerate(line):
         k = _char_kind_oracle(ch)
         if k != kind:
-            if kind == 1 or (kind == 2 and punctuation_as_tokens):
+            if kind != 0:
                 tokens.append(line[start:i])
             start, kind = i, k
-    if kind == 1 or (kind == 2 and punctuation_as_tokens):
+    if kind != 0:
         tokens.append(line[start:])
     return tokens
 
 
-def tokenize_oracle(text: str, options: TokenizerOptions) -> list[str]:
-    """The tokenizer as a per-character scan over each line."""
+def tokenize_oracle(text: str, options: TokenizerOptions) -> list[list[str]]:
+    """The tokenizer as a per-character scan: the non-empty token list of
+    each line, or of the whole text when lines are not segments."""
     if options.lowercase:
         text = text.lower()
-    if options.sentence_boundary != "token":
-        return _tokenize_line_oracle(text, options.punctuation_as_tokens)
-    out: list[str] = []
-    for line in text.split("\n"):
-        line_tokens = _tokenize_line_oracle(line, options.punctuation_as_tokens)
-        if not line_tokens:
-            continue
-        if out:
-            out.append(BOUNDARY_TOKEN)
-        out.extend(line_tokens)
-    return out
+    lines = text.split("\n") if options.sentence_boundary == "token" else [text]
+    segments = []
+    for line in lines:
+        line_tokens = _tokenize_line_oracle(line)
+        if line_tokens:
+            segments.append(line_tokens)
+    return segments
 
 
-def build_vocabulary_oracle(tokens: list[str], top_k: int):
-    """build_vocabulary with a per-token count loop and encode loop."""
+def build_vocabulary_oracle(segments: list[list[str]], top_k: int):
+    """build_vocabulary with per-segment count and encode loops."""
     counts: Counter[str] = Counter()
-    for t in tokens:
-        if t != BOUNDARY_TOKEN:
+    for segment in segments:
+        for t in segment:
             counts[t] += 1
     plain = [t for t in counts if not _PSEUDO_LABEL_RE.match(t)]
     plain.sort(key=lambda t: (-counts[t], t))
@@ -141,17 +137,15 @@ def build_vocabulary_oracle(tokens: list[str], top_k: int):
     ids = np.empty(sum(counts.values()), dtype=np.int32)
     breaks: list[int] = []
     pos = 0
-    pending_break = False
-    for t in tokens:
-        if t == BOUNDARY_TOKEN:
-            pending_break = pos > 0
+    for segment in segments:
+        if not segment:
             continue
-        if pending_break:
+        if pos > 0:
             breaks.append(pos)
-            pending_break = False
-        surface = t if t in lexical_set else group_of[t]
-        ids[pos] = vocab.index[surface]
-        pos += 1
+        for t in segment:
+            surface = t if t in lexical_set else group_of[t]
+            ids[pos] = vocab.index[surface]
+            pos += 1
     return vocab, TokenStream(ids=ids, breaks=np.array(breaks, dtype=np.int64))
 
 

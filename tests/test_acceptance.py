@@ -51,7 +51,7 @@ def check(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def make_elman_instance(n_sentences: int, seed: int):
     tokens = elman.generate(n_sentences, seed=seed)
-    vocab, stream = build_vocabulary(tokens, 29)
+    vocab, stream = build_vocabulary([tokens], 29)
     store = count_bigrams(stream, vocab.size)
     return vocab, store
 
@@ -89,7 +89,7 @@ def vocab_of_size(tokens, V_target: int):
     """Pick top_k so the vocabulary (lexical + pseudo groups) hits V_target."""
     k = V_target
     for _ in range(12):
-        vocab, stream = build_vocabulary(tokens, k)
+        vocab, stream = build_vocabulary([tokens], k)
         if vocab.size == V_target:
             return vocab, stream
         k -= vocab.size - V_target

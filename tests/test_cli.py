@@ -7,14 +7,14 @@ from tagsplit.cli import (
     EXIT_OK,
     EXIT_USAGE,
     build_parser,
-    load_corpus,
+    build_pipeline,
     main,
     read_tags_tsv,
     write_stats_csv,
 )
 from tagsplit.splitter import LevelStats
-from tagsplit.corpus import BOUNDARY_TOKEN, TokenizerOptions
 from tagsplit.elman import generate
+from conftest import pair_count
 
 
 @pytest.fixture(scope="module")
@@ -383,14 +383,52 @@ class TestBench:
         float(slopes[0][4])  # slope parses as a real
 
 
+class TestPathCollisions:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "cluster --in in.txt --tags o.tsv --stats o.tsv",
+            "cluster --in in.txt --tags in.txt --stats s.csv",
+            "cluster --in in.txt --tags o.tsv --stats in.txt",
+            "cluster --in in.txt --tags o.tsv --stats o.tsv.manifest.json",
+            "cluster --in o.tsv.manifest.json --tags o.tsv --stats s.csv",
+            "cluster --in in.txt --pin pins.tsv --tags pins.tsv --stats s.csv",
+            "cluster --in in.txt --in sub/../in.txt --tags o.tsv --stats s.csv",
+            "bench --in in.txt --out in.txt",
+            "bench --in o.csv.manifest.json --out o.csv",
+        ],
+    )
+    def test_one_file_named_twice_exit_2(self, elman_corpus, tmp_path, capsys, argv):
+        (tmp_path / "sub").mkdir()
+        for name in ("in.txt", "o.tsv.manifest.json", "o.csv.manifest.json"):
+            (tmp_path / name).write_bytes(elman_corpus.read_bytes())
+        (tmp_path / "pins.tsv").write_text("surface\tbit_string\nman\t1\n")
+
+        def files():
+            return {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+
+        before = files()
+        command, *words = argv.split()
+        paths = [w if w.startswith("--") else str(tmp_path / w) for w in words]
+        rc = main([command, *paths, "--top-words", "29", "--levels", "2"])
+        assert rc == EXIT_USAGE
+        assert "are the same file" in capsys.readouterr().err
+        assert files() == before
+
+
 class TestCorpusLoading:
     def test_files_never_flow_into_each_other(self, tmp_path):
         a = tmp_path / "a.txt"
+        empty = tmp_path / "empty.txt"
         b = tmp_path / "b.txt"
         a.write_text("x y")
+        empty.write_text("\n")
         b.write_text("z w")
-        tokens = load_corpus([a, b], TokenizerOptions())
-        assert tokens == ["x", "y", BOUNDARY_TOKEN, "z", "w"]
+        vocab, stream, store = build_pipeline([a, empty, b], 10, False, "none")
+        assert stream.decode(vocab) == ["x", "y", "z", "w"]
+        assert stream.breaks.tolist() == [2]
+        assert pair_count(store, vocab.id_of("y"), vocab.id_of("z")) == 0
+        assert store.T == 2
 
     def test_undecodable_bytes_reported_with_offset(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -398,4 +436,4 @@ class TestCorpusLoading:
         from tagsplit import IngestionError
 
         with pytest.raises(IngestionError, match="offset 10"):
-            load_corpus([bad], TokenizerOptions())
+            build_pipeline([bad], 10, False, "none")

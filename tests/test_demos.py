@@ -18,10 +18,12 @@ def test_all_five_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_exits_0(demo, tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "BENCH_IN"}
-    # demo 05 writes its corpus and CSV under a fresh temporary directory
+    # demo 05 writes its corpus and CSV under a temporary directory, which
+    # it must remove again
     env.update(PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, str(demo)], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -182,7 +182,7 @@ def elman_10k():
     from tagsplit import build_vocabulary, count_bigrams
 
     tokens = generate(10000, seed=1)
-    vocab, stream = build_vocabulary(tokens, 29)
+    vocab, stream = build_vocabulary([tokens], 29)
     store = count_bigrams(stream, vocab.size)
     return vocab, store
 

@@ -25,7 +25,7 @@ from conftest import acmi_oracle, class_matrix_oracle, make_stream, random_insta
 
 
 def tiny_corpus(tokens, top_k=None):
-    vocab, stream = build_vocabulary(tokens, top_k or len(set(tokens)))
+    vocab, stream = build_vocabulary([tokens], top_k or len(set(tokens)))
     store = count_bigrams(stream, vocab.size)
     return vocab, stream, store
 
