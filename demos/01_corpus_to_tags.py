@@ -23,10 +23,10 @@ dogs chase cats , cats chase mice , mice fear cats .
 """ * 40
 
 # 1. Tokenize.  Punctuation runs become tokens of their own, matching how
-#    novels are usually profiled for class induction.  A text is a list of
-#    segments; bigrams never span two.  Here newlines are plain whitespace,
-#    so the whole text is one segment.
-segments = tokenize(TEXT, TokenizerOptions(lowercase=True))
+#    novels are usually profiled for class induction.  A text is a sequence
+#    of segments, yielded lazily; bigrams never span two.  Here newlines are
+#    plain whitespace, so the whole text is one segment.
+segments = list(tokenize(TEXT, TokenizerOptions(lowercase=True)))
 print(f"{len(segments[0])} tokens, e.g. {segments[0][:12]}")
 
 # 2. Keep the 12 most frequent words; pool the rest as pseudo-words by

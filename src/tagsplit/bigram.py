@@ -59,7 +59,7 @@ class BigramStore:
 
 def count_bigrams(stream: TokenStream, V: int | None = None) -> BigramStore:
     """Count adjacent in-segment pairs once each; breaks sever pairs."""
-    ids = np.asarray(stream.ids, dtype=np.int64)
+    ids = np.asarray(stream.ids)
     if V is None:
         V = int(ids.max()) + 1 if len(ids) else 0
     if len(ids) < 2:
@@ -69,7 +69,11 @@ def count_bigrams(stream: TokenStream, V: int | None = None) -> BigramStore:
     br = np.asarray(stream.breaks, dtype=np.int64)
     br = br[(br > 0) & (br < len(ids))]
     keep[br - 1] = False
-    key = (ids[:-1] * V + ids[1:])[keep]
+    # one corpus-long int64 key array, built in place and freed once masked
+    key = ids[:-1].astype(np.int64)
+    key *= V
+    key += ids[1:]
+    key = key[keep]
     uniq, cnt = np.unique(key, return_counts=True)
     return BigramStore(V, uniq // V, uniq % V, cnt.astype(np.int64))
 

@@ -276,11 +276,13 @@ def build_pipeline(
 ) -> tuple[Vocabulary, TokenStream, BigramStore]:
     """Shared corpus -> vocabulary -> bigram pipeline for cluster and bench.
 
-    Every file's segments join one list, so no bigram spans two files.
+    One streaming pass: each file is read and tokenized only when the
+    vocabulary builder reaches it.  Every file's segments follow one
+    another in one segment stream, so no bigram spans two files.
     """
     options = TokenizerOptions(lowercase=lowercase, sentence_boundary=boundary)
     vocab, stream = build_vocabulary(
-        [seg for path in paths for seg in tokenize(read_text_file(path), options)],
+        (seg for path in paths for seg in tokenize(read_text_file(path), options)),
         top_words,
     )
     return vocab, stream, count_bigrams(stream, vocab.size)

@@ -6,11 +6,21 @@ that pool everything rarer by a coarse morphological tag and exact length
 (``<word9>``, ``<numeric3>``, ...).  Pooling the rare words keeps their
 context statistics available to the clustering instead of discarding them.
 
-A corpus is a list of segments, each a list of tokens, and no bigram
-spans two segments.  tokenize returns a text's non-empty segments (its
-lines under sentence_boundary="token", else the whole text); the segments
-of several files are simply concatenated, and build_vocabulary turns the
-segment lengths into the stream's break positions.
+A corpus is a sequence of segments, each a list of tokens, and no bigram
+spans two segments.  tokenize lazily yields a text's non-empty segments
+(its lines under sentence_boundary="token", else the whole text); the
+segments of several files simply follow one another, and
+build_vocabulary turns the segment lengths into the stream's break
+positions.
+
+Ingest is one streaming pass.  build_vocabulary consumes any one-pass
+iterable of segments in blocks of BLOCK_TOKENS tokens; it maps each
+block to provisional int32 type ids (first-seen order, one dict for the
+whole corpus) and then drops the block's strings, so only one string per
+distinct type stays alive.  At the end it counts the types with one
+bincount, ranks the vocabulary once and remaps the provisional ids to
+final ids through one lookup table.  A segment is tokenized whole, so
+under sentence_boundary="none" a file's tokens are all alive together.
 
 Character classes follow Python's own ``str`` predicates: a "word"
 character is anything ``isalnum()``, whitespace is ``isspace()`` plus any
@@ -18,8 +28,7 @@ non-printable character, and everything else counts as punctuation, whose
 maximal runs are tokens too.  The tokenizer classifies only the text's
 distinct characters, then builds one pattern ``[word chars]+|[punct
 chars]+`` listing exactly those characters and splits the text with it in
-a single ``findall`` per segment.  Encoding maps each distinct token to its
-id once and converts all tokens to an id array in one numpy pass.
+a single ``findall`` per segment.
 
 Nothing here touches the disk: tagsplit.cli reads the input files and
 writes the vocabulary as TSV (write_vocab_tsv).
@@ -30,7 +39,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,6 +51,11 @@ PSEUDO = "pseudo"
 
 _VOWELS = frozenset("aeiouAEIOU")
 _PSEUDO_LABEL_RE = re.compile(r"^<(numeric|alphanumeric|word|acronym|nota)(\d+)>$")
+_LINE_RE = re.compile(r"[^\n]+")
+
+# Tokens per encoding block.  Small blocks keep the peak low: freed token
+# strings would otherwise pin the allocator's arenas.
+BLOCK_TOKENS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -87,20 +102,24 @@ def _token_pattern(text: str) -> re.Pattern | None:
     return re.compile("|".join(runs)) if runs else None
 
 
-def tokenize(text: str, options: TokenizerOptions | None = None) -> list[list[str]]:
-    """Split text into its non-empty segments of tokens.
+def tokenize(text: str, options: TokenizerOptions | None = None) -> Iterator[list[str]]:
+    """Lazily split text into its non-empty segments of tokens.
 
     Deterministic and whitespace-free.  With sentence_boundary="token"
-    each line is a segment, otherwise the whole text is one.
+    each line is a segment, tokenized only when it is reached; otherwise
+    the whole text is one.  The pattern is built when tokenize is called.
     """
     opts = options or TokenizerOptions()
     if opts.lowercase:
         text = text.lower()
     pattern = _token_pattern(text)
     if pattern is None:
-        return []
-    lines = text.split("\n") if opts.sentence_boundary == "token" else [text]
-    return [seg for line in lines if (seg := pattern.findall(line))]
+        return iter(())
+    if opts.sentence_boundary == "token":
+        spans = (line.span() for line in _LINE_RE.finditer(text))
+    else:
+        spans = [(0, len(text))]
+    return (seg for a, b in spans if (seg := pattern.findall(text, a, b)))
 
 
 def classify_rare(token: str) -> str:
@@ -182,8 +201,18 @@ class TokenStream:
         return [vocab.surface_of(int(i)) for i in self.ids]
 
 
+def _encode_block(tokens: Iterator[str], type_id: dict[str, int]) -> np.ndarray:
+    """Provisional int32 ids of the next BLOCK_TOKENS tokens (fewer at the
+    end, none when exhausted); new types get the next ids in type_id.  The
+    block's strings are freed on return."""
+    block = list(islice(tokens, BLOCK_TOKENS))
+    new = [t for t in dict.fromkeys(block) if t not in type_id]
+    type_id.update(zip(new, range(len(type_id), len(type_id) + len(new))))
+    return np.fromiter(map(type_id.__getitem__, block), np.int32, len(block))
+
+
 def build_vocabulary(
-    segments: list[list[str]], top_k: int
+    segments: Iterable[list[str]], top_k: int
 ) -> tuple[Vocabulary, TokenStream]:
     """Build the top-k vocabulary and encode the segments as one stream.
 
@@ -192,34 +221,52 @@ def build_vocabulary(
     pseudo-group label.  Tokens that already look like pseudo-group labels
     map straight to their group, which makes decode + rebuild a fixed point.
     Segments are concatenated; the stream breaks where one non-empty
-    segment ends and the next begins.  Pass a flat token list as [tokens].
+    segment ends and the next begins.  segments may be any iterable (a
+    generator such as tokenize's output) and is consumed once, in blocks
+    of BLOCK_TOKENS tokens.  Pass a flat token list as [tokens].
     """
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
-    if any(isinstance(seg, str) for seg in segments):
-        raise ConfigError("segments must be token lists; pass a flat token list as [tokens]")
-    lengths = np.fromiter(map(len, segments), np.int64, len(segments))
-    n_tokens = int(lengths.sum())
-    if n_tokens == 0:
-        raise IngestionError("empty token stream: nothing to build a vocabulary from")
-    counts = Counter(chain.from_iterable(segments))
+    lengths: list[int] = []
 
-    plain = [t for t in counts if not _PSEUDO_LABEL_RE.match(t)]
-    plain.sort(key=lambda t: (-counts[t], t))
+    def segment(seg: list[str]) -> list[str]:
+        if isinstance(seg, str):
+            raise ConfigError("segments must be token lists; pass a flat token list as [tokens]")
+        lengths.append(len(seg))
+        return seg
+
+    tokens = chain.from_iterable(map(segment, segments))
+    type_id: dict[str, int] = {}
+    blocks = []
+    while len(ids := _encode_block(tokens, type_id)):
+        blocks.append(ids)
+    if not blocks:
+        raise IngestionError("empty token stream: nothing to build a vocabulary from")
+    # Free the blocks and the dict as soon as they are copied: held until
+    # the return, they fragment the heap under the later allocations and
+    # raise the peak RSS (by about 9 MB on 1.6M tokens).
+    provisional = np.concatenate(blocks)
+    del blocks
+    surfaces = list(type_id)
+    del type_id
+    counts = np.bincount(provisional, minlength=len(surfaces)).tolist()
+
+    plain = [i for i, t in enumerate(surfaces) if not _PSEUDO_LABEL_RE.match(t)]
+    plain.sort(key=lambda i: (-counts[i], surfaces[i]))
     lexical = plain[:top_k]
     lexical_set = set(lexical)
 
     group_counts: Counter[str] = Counter()
-    group_of: dict[str, str] = {}
-    for t, c in counts.items():
-        if t in lexical_set:
+    final_surface = surfaces.copy()
+    for i, t in enumerate(surfaces):
+        if i in lexical_set:
             continue
         label = t if _PSEUDO_LABEL_RE.match(t) else classify_rare(t)
-        group_of[t] = label
-        group_counts[label] += c
+        final_surface[i] = label
+        group_counts[label] += counts[i]
 
     entries = [
-        VocabEntry(i, t, counts[t], LEXICAL) for i, t in enumerate(lexical)
+        VocabEntry(j, surfaces[i], counts[i], LEXICAL) for j, i in enumerate(lexical)
     ]
     pseudo_labels = sorted(group_counts, key=lambda g: (-group_counts[g], g))
     entries.extend(
@@ -228,9 +275,9 @@ def build_vocabulary(
     )
     vocab = Vocabulary(entries)
 
-    id_of = {t: vocab.index[group_of.get(t, t)] for t in counts}
-    ids = np.fromiter(
-        map(id_of.__getitem__, chain.from_iterable(segments)), np.int32, n_tokens
+    final_id = np.fromiter(
+        map(vocab.index.__getitem__, final_surface), np.int32, len(final_surface)
     )
-    breaks = np.cumsum(lengths[lengths > 0])[:-1]
-    return vocab, TokenStream(ids=ids, breaks=breaks)
+    sizes = np.array(lengths, dtype=np.int64)
+    breaks = np.cumsum(sizes[sizes > 0])[:-1]
+    return vocab, TokenStream(ids=final_id[provisional], breaks=breaks)

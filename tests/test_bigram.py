@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tagsplit import (
     ConsistencyError,
@@ -35,6 +37,26 @@ class TestCountBigrams:
         assert pair_count(store, 0, 0) == 2
         assert store.self_count[0] == 2
         assert store.T == 2
+
+    def test_empty_stream(self):
+        store = count_bigrams(make_stream([]), 3)
+        assert (store.V, store.T, len(store.counts)) == (3, 0, 0)
+        assert count_bigrams(make_stream([])).V == 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), V=st.sampled_from([1, 2, 5, 70_000]))
+    def test_matches_pair_oracle(self, data, V):
+        # V=70,000 puts keys past 2**32, so int32 key arithmetic would wrap
+        ids = data.draw(st.lists(st.integers(0, V - 1), max_size=30))
+        cuts = st.integers(0, len(ids))
+        breaks = sorted(data.draw(st.lists(cuts, unique=True, max_size=6)))
+        want = pair_counts_oracle(ids, breaks)
+        # breaks at 0 and at len(ids) sever nothing
+        for br in (breaks, sorted({0, len(ids), *breaks})):
+            store = count_bigrams(make_stream(ids, br), V)
+            got = zip(store.left.tolist(), store.right.tolist(), store.counts.tolist())
+            assert {(w, v): c for w, v, c in got} == want
+            assert store.T == sum(want.values())
 
     def test_breaks_sever_pairs(self):
         store = count_bigrams(make_stream([0, 1, 0, 1], breaks=[2]), 2)

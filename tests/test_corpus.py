@@ -1,5 +1,6 @@
 import itertools
 import string
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from tagsplit import (
     classify_rare,
     tokenize,
 )
-from tagsplit.cli import write_vocab_tsv
+from tagsplit import corpus
+from tagsplit.cli import build_pipeline, write_vocab_tsv
 from tagsplit.corpus import LEXICAL, PSEUDO
 from conftest import build_vocabulary_oracle, tokenize_oracle
 
@@ -33,20 +35,38 @@ ALL_OPTIONS = [
     TokenizerOptions(lowercase=lc, sentence_boundary=sb)
     for lc, sb in itertools.product((False, True), ("none", "token"))
 ]
+# Encoding block sizes that put block joints at every possible offset of
+# short segments, and the real size.
+BLOCK_SIZES = (1, 2, 3, corpus.BLOCK_TOKENS)
+# Surfaces for generated texts: case pairs, digits, punctuation runs and a
+# pseudo-label lookalike, which the tokenizer splits at its brackets.
+WORDS = ["a", "A", "the", "The", "ox", "xyz", "42", "k9", "-", "don't", "é", "<word3>", "?!"]
+TEXTS = st.lists(st.lists(st.sampled_from(WORDS), max_size=7), max_size=6).map(
+    lambda lines: "\n".join(" ".join(line) for line in lines)
+)
+
+
+def assert_same_encoding(got, want):
+    (vocab, stream), (want_vocab, want_stream) = got, want
+    assert vocab.entries == want_vocab.entries
+    assert stream.ids.dtype == want_stream.ids.dtype == np.int32
+    assert np.array_equal(stream.ids, want_stream.ids)
+    assert stream.breaks.dtype == want_stream.breaks.dtype == np.int64
+    assert np.array_equal(stream.breaks, want_stream.breaks)
 
 
 class TestTokenize:
     def test_punctuation_runs_are_tokens(self):
         opts = TokenizerOptions(lowercase=False)
-        assert tokenize("AB & CD SMITH", opts) == [["AB", "&", "CD", "SMITH"]]
+        assert list(tokenize("AB & CD SMITH", opts)) == [["AB", "&", "CD", "SMITH"]]
 
     def test_empty_input(self):
-        assert tokenize("") == []
-        assert tokenize(" \n\t", TokenizerOptions(sentence_boundary="token")) == []
+        assert list(tokenize("")) == []
+        assert list(tokenize(" \n\t", TokenizerOptions(sentence_boundary="token"))) == []
 
     def test_lowercase_fold(self):
         opts = TokenizerOptions(lowercase=True)
-        assert tokenize("It is, perhaps.", opts) == [["it", "is", ",", "perhaps", "."]]
+        assert list(tokenize("It is, perhaps.", opts)) == [["it", "is", ",", "perhaps", "."]]
 
     def test_no_whitespace_inside_tokens(self):
         for tok in itertools.chain.from_iterable(tokenize("one\ttwo\n three!?four")):
@@ -54,19 +74,19 @@ class TestTokenize:
 
     def test_deterministic(self):
         text = "Some text; with 3 kinds-of tokens."
-        assert tokenize(text) == tokenize(text)
+        assert list(tokenize(text)) == list(tokenize(text))
 
     def test_boundary_token_between_lines(self):
         text = "\na b\nc d\n\ne\n"
         opts = TokenizerOptions(sentence_boundary="token")
-        assert tokenize(text, opts) == [["a", "b"], ["c", "d"], ["e"]]
+        assert list(tokenize(text, opts)) == [["a", "b"], ["c", "d"], ["e"]]
         # without line boundaries a newline is whitespace: one segment
-        assert tokenize(text) == [["a", "b", "c", "d", "e"]]
+        assert list(tokenize(text)) == [["a", "b", "c", "d", "e"]]
 
     def test_boundary_sentinel_never_produced_from_text(self):
         opts = TokenizerOptions(sentence_boundary="token")
         # a raw control char is whitespace, not a token, and only "\n" ends a line
-        assert tokenize("a \x1e b\nc", opts) == [["a", "b"], ["c"]]
+        assert list(tokenize("a \x1e b\nc", opts)) == [["a", "b"], ["c"]]
 
     def test_bad_boundary_mode_rejected(self):
         with pytest.raises(ConfigError):
@@ -76,7 +96,7 @@ class TestTokenize:
     @given(text=st.text(alphabet=st.sampled_from(MIXED_ALPHABET), max_size=60))
     def test_matches_per_character_oracle(self, text):
         for opts in ALL_OPTIONS:
-            assert tokenize(text, opts) == tokenize_oracle(text, opts), opts
+            assert list(tokenize(text, opts)) == tokenize_oracle(text, opts), opts
 
 
 class TestClassifyRare:
@@ -194,13 +214,8 @@ class TestBuildVocabulary:
     def test_matches_loop_oracle(self, segments, lead, trail, top_k):
         segments = [[]] * lead + segments + [[]] * trail
         assume(any(segments))
-        vocab, stream = build_vocabulary(segments, top_k)
-        want_vocab, want = build_vocabulary_oracle(segments, top_k)
-        assert vocab.entries == want_vocab.entries
-        assert stream.ids.dtype == want.ids.dtype
-        assert np.array_equal(stream.ids, want.ids)
-        assert stream.breaks.dtype == want.breaks.dtype
-        assert np.array_equal(stream.breaks, want.breaks)
+        got = build_vocabulary(segments, top_k)
+        assert_same_encoding(got, build_vocabulary_oracle(segments, top_k))
 
     def test_errors(self):
         with pytest.raises(ConfigError):
@@ -211,6 +226,68 @@ class TestBuildVocabulary:
             build_vocabulary([[], []], 3)
         with pytest.raises(ConfigError, match=r"\[tokens\]"):
             build_vocabulary(["a", "b"], 3)  # a flat token list, not segments
+
+    def test_one_pass_input(self):
+        segments = [["a", "b"], [], ["a", "c", "a"], ["b"]]
+        once = (seg for seg in segments)
+        got = build_vocabulary(once, 2)
+        assert next(once, None) is None  # consumed, and only once
+        assert_same_encoding(got, build_vocabulary_oracle(segments, 2))
+
+    def test_one_pass_input_validated(self):
+        with pytest.raises(ConfigError, match=r"\[tokens\]"):
+            build_vocabulary(iter(["a", "b"]), 3)
+        with pytest.raises(ConfigError, match=r"\[tokens\]"):
+            build_vocabulary((s for s in [["a", "b"], "c"]), 3)  # checked as it streams
+        with pytest.raises(IngestionError):
+            build_vocabulary(iter([]), 3)
+        with pytest.raises(IngestionError):
+            build_vocabulary((s for s in [[], []]), 3)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(text=TEXTS, top_k=st.integers(1, 8))
+    def test_block_joints_match_oracle(self, text, top_k):
+        for block, opts in itertools.product(BLOCK_SIZES, ALL_OPTIONS):
+            segments = tokenize_oracle(text, opts)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(corpus, "BLOCK_TOKENS", block)
+                if not segments:
+                    with pytest.raises(IngestionError):
+                        build_vocabulary(tokenize(text, opts), top_k)
+                    continue
+                got = build_vocabulary(tokenize(text, opts), top_k)
+            assert_same_encoding(got, build_vocabulary_oracle(segments, top_k))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        texts=st.lists(TEXTS, min_size=1, max_size=3),
+        opts=st.sampled_from(ALL_OPTIONS),
+        top_k=st.integers(1, 8),
+    )
+    def test_pipeline_block_joints_match_oracle(self, tmp_path_factory, texts, opts, top_k):
+        # segments longer than a block put block joints inside segments
+        segments = [seg for text in texts for seg in tokenize_oracle(text, opts)]
+        assume(segments)
+        paths = [tmp_path_factory.mktemp("in") / "corpus.txt" for _ in texts]
+        for path, text in zip(paths, texts):
+            path.write_bytes(text.encode("utf-8"))
+        want_vocab, want = build_vocabulary_oracle(segments, top_k)
+        # every in-segment pair, and no pair across a line or file joint
+        in_segment: Counter = Counter()
+        pos = 0
+        for seg in segments:
+            ids = want.ids[pos : pos + len(seg)].tolist()
+            in_segment.update(zip(ids, ids[1:]))
+            pos += len(seg)
+        for block in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(corpus, "BLOCK_TOKENS", block)
+                vocab, stream, store = build_pipeline(
+                    paths, top_k, opts.lowercase, opts.sentence_boundary
+                )
+            assert_same_encoding((vocab, stream), (want_vocab, want))
+            got = zip(store.left.tolist(), store.right.tolist(), store.counts.tolist())
+            assert {(w, v): c for w, v, c in got} == in_segment
 
     def test_lexical_frequencies_dominate_pooled_tokens(self, rng):
         tokens = [f"t{int(i)}" for i in rng.integers(0, 50, 400)]
