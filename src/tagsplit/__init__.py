@@ -15,7 +15,6 @@ from .bigram import (
     BigramStore,
     ClassMatrix,
     ContextBank,
-    ContextVectors,
     apply_move,
     class_matrix,
     count_bigrams,
@@ -59,7 +58,6 @@ __all__ = [
     "ConfigError",
     "ConsistencyError",
     "ContextBank",
-    "ContextVectors",
     "CoverageError",
     "EPSILON",
     "IngestionError",

@@ -6,21 +6,20 @@ C x C table of bigram counts by (left class, right class) with row/column
 marginals; moving one word between classes touches only two rows and two
 columns, so the matrix is maintained incrementally (apply_move) and kept
 bit-identical to a from-scratch rebuild.  ContextBank caches, per word, the
-class-context count vectors the incremental update needs.
+class-context counts that every move routine reads as (matrix, bank, word).
 
 All counts are int64; probabilities appear only in the objective module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import TokenStream
 from .errors import ConsistencyError
 
-MAX_CLASSES = 1024  # dense storage bound: class ids fit a 10-bit path
+MAX_LEVELS = 10  # class ids fit a 10-bit path
+MAX_CLASSES = 1 << MAX_LEVELS  # dense storage bound
 
 
 class BigramStore:
@@ -107,44 +106,25 @@ def class_matrix(store: BigramStore, assignment: np.ndarray, C: int) -> ClassMat
     return ClassMatrix(C, counts)
 
 
-@dataclass
-class ContextVectors:
-    """Class-context counts for one word under a fixed assignment.
-
-    left[c]  = number of bigrams (w, v) with v currently in class c
-    right[c] = number of bigrams (v, w) with v currently in class c
-    self_count = f(w, w), which appears in both vectors at w's own class.
-    """
-
-    word: int
-    left: np.ndarray
-    right: np.ndarray
-    self_count: int
-
-
 class ContextBank:
-    """Cached context vectors for every word, repaired incrementally.
+    """Class-context counts for every word, repaired incrementally.
 
+    left[w, c] counts bigrams (w, v) and right[w, c] bigrams (v, w) with v
+    now in class c; f(w, w) = store.self_count[w] is in both at w's class.
     When word u commits a move only the rows of u's sparse neighbours
     change, keeping per-candidate scoring independent of corpus size.
     """
 
     def __init__(self, store: BigramStore, assignment: np.ndarray, C: int):
         self.store = store
-        self.C = C
         a = np.asarray(assignment)
         self.left = np.zeros((store.V, C), dtype=np.int64)
         np.add.at(self.left, (store.left, a[store.right]), store.counts)
         self.right = np.zeros((store.V, C), dtype=np.int64)
         np.add.at(self.right, (store.right, a[store.left]), store.counts)
 
-    def vectors(self, w: int) -> ContextVectors:
-        return ContextVectors(
-            w, self.left[w], self.right[w], int(self.store.self_count[w])
-        )
-
     def move(self, w: int, frm: int, to: int) -> None:
-        """Repair neighbours' vectors after w moved frm -> to."""
+        """Repair neighbours' rows after w moved frm -> to."""
         ids, cnts = self.store.pred(w)
         self.left[ids, frm] -= cnts
         self.left[ids, to] += cnts
@@ -153,17 +133,17 @@ class ContextBank:
         self.right[ids, to] += cnts
 
 
-def apply_move(matrix: ClassMatrix, ctx: ContextVectors, frm: int, to: int) -> None:
-    """Shift one word's bigram mass between classes, in place.
+def apply_move(matrix: ClassMatrix, bank: ContextBank, w: int, frm: int, to: int) -> None:
+    """Shift word w's bigram mass from class frm to class to, in place.
 
     Equivalent to deleting the word's mass under frm and re-inserting it
     under to; the result is integer-identical to a from-scratch rebuild
-    under the post-move assignment.
+    under the post-move assignment.  bank.move(w, frm, to) repairs the bank.
     """
     if frm == to:
         raise ValueError("apply_move requires frm != to")
     N = matrix.counts
-    L, R, f = ctx.left, ctx.right, ctx.self_count
+    L, R, f = bank.left[w], bank.right[w], bank.store.self_count[w]
     N[frm, :] -= L
     N[to, :] += L
     N[:, frm] -= R
@@ -174,8 +154,7 @@ def apply_move(matrix: ClassMatrix, ctx: ContextVectors, frm: int, to: int) -> N
     N[to, frm] -= f
     N[frm, to] -= f
     N[frm, frm] += f
-    sL = int(L.sum())
-    sR = int(R.sum())
+    sL, sR = bank.store.succ_total[w], bank.store.pred_total[w]
     matrix.row[frm] -= sL
     matrix.row[to] += sL
     matrix.col[frm] -= sR
@@ -187,6 +166,6 @@ def apply_move(matrix: ClassMatrix, ctx: ContextVectors, frm: int, to: int) -> N
         or N[:, to].min() < 0
     ):
         raise ConsistencyError(
-            f"apply_move drove a count negative (word {ctx.word}, {frm}->{to}); "
+            f"apply_move drove a count negative (word {w}, {frm}->{to}); "
             "context vectors are stale"
         )

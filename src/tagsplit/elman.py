@@ -93,6 +93,8 @@ def sentences_with_rules(n_sentences: int, seed: int = 0) -> list[tuple[int, lis
     """Sentences paired with the index of the production that made them."""
     if n_sentences < 1:
         raise ConfigError(f"n_sentences must be >= 1, got {n_sentences}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     result = []
     for _ in range(n_sentences):

@@ -13,13 +13,13 @@ with h(n) = n lg n and row/column totals r and c,
 
 Moving one word between classes changes only two rows and two columns of
 the matrix, and within them only the cells where the word's context is
-nonzero, plus the four corner cells and four marginals.  batch_deltas
-scores every candidate move of a search pass at once on that identity:
-4 h-terms per nonzero off-corner context entry plus 16 for the corners and
-marginals, in one vectorised pass.  delta_acmi is the scalar reference it
-is tested against: it re-evaluates the two rows and columns before and
-after the move, at most 8(C-1) log terms, and an optional counter exposes
-exactly how many it took.
+nonzero, plus the four corner cells and four marginals.  Both scorers take
+(matrix, bank, word(s), frm) and read the context from the ContextBank.
+batch_deltas scores every candidate move of a search pass at once on that
+identity: 4 h-terms per nonzero off-corner context entry plus 16 for the
+corners and marginals, in one vectorised pass.  delta_acmi is the scalar
+reference: it re-evaluates the two rows and columns before and after the
+move, at most 8(C-1) log terms, and an optional counter counts them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .bigram import ClassMatrix, ContextBank, ContextVectors
+from .bigram import ClassMatrix, ContextBank
 from .errors import ConsistencyError, UndefinedObjectiveError
 
 # Improvement threshold: deltas in (-EPSILON, EPSILON] are non-improving,
@@ -134,12 +134,13 @@ def pair_before_sum(
 
 def delta_acmi(
     matrix: ClassMatrix,
-    ctx: ContextVectors,
+    bank: ContextBank,
+    w: int,
     frm: int,
     to: int,
     counter: LogEvalCounter | None = None,
 ) -> float:
-    """Change in ACMI if ctx.word moved frm -> to; the matrix is untouched.
+    """Change in ACMI if word w moved frm -> to; matrix and bank are untouched.
 
     Only cells in rows {frm, to} and columns {frm, to} can change, so the
     sum of their terms is evaluated under the current counts and under the
@@ -157,7 +158,7 @@ def delta_acmi(
     row, col = matrix.row, matrix.col
     T = float(matrix.T)
     a, b = frm, to
-    L, R, f = ctx.left, ctx.right, ctx.self_count
+    L, R, f = bank.left[w], bank.right[w], int(bank.store.self_count[w])
     sL = int(L.sum())
     sR = int(R.sum())
 
@@ -177,7 +178,7 @@ def delta_acmi(
 
     if min(row_a2.min(), row_b2.min(), col_a2.min(), col_b2.min()) < 0:
         raise ConsistencyError(
-            f"negative post-move count for word {ctx.word} ({frm}->{to}); "
+            f"negative post-move count for word {w} ({frm}->{to}); "
             "context vectors are stale"
         )
 

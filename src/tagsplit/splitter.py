@@ -38,14 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bigram import BigramStore, ContextBank, apply_move, class_matrix
+from .bigram import MAX_CLASSES, MAX_LEVELS, BigramStore, ContextBank, apply_move, class_matrix
 from .corpus import Vocabulary
 from .errors import ConfigError, ConsistencyError, IngestionError
 from .objective import EPSILON, acmi, batch_deltas
 # not called here; perfbench/invoke.py wraps these on this module by name
 from .objective import delta_acmi, pair_before_sum  # noqa: F401
 
-MAX_LEVELS = 10  # 2**10 = 1024 classes, the dense-matrix bound
 # largest allowed gap between the running ACMI and a full recompute at the
 # end of a level: the bound every delta is tested to
 DRIFT_TOLERANCE = 1e-9
@@ -74,8 +73,10 @@ class ClusterConfig:
         if not 1 <= self.levels <= MAX_LEVELS:
             raise ConfigError(
                 f"levels must be between 1 and {MAX_LEVELS} "
-                f"(at most 2^{MAX_LEVELS} = 1024 classes), got {self.levels}"
+                f"(at most 2^{MAX_LEVELS} = {MAX_CLASSES} classes), got {self.levels}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ConfigError(
                 f"epsilon must be finite and non-negative, got {self.epsilon}"
@@ -139,7 +140,7 @@ def init_level(
     """
     if level + 1 > MAX_LEVELS:
         raise ConfigError(
-            f"cannot split beyond level {MAX_LEVELS} (1024-class cap)"
+            f"cannot split beyond level {MAX_LEVELS} ({MAX_CLASSES}-class cap)"
         )
     V = len(class_of)
     if strategy == STRATEGY_RANDOM:
@@ -157,10 +158,10 @@ def init_level(
 
 
 class ClusterState:
-    """Mutable search state for one level: matrix, context cache, assignment.
+    """Mutable search state for one level: matrix, context bank, assignment.
 
     Single-writer: commits are serialized; scoring reads a consistent
-    snapshot between commits.
+    snapshot between commits.  moved lists the committed words in order.
     """
 
     def __init__(
@@ -172,7 +173,6 @@ class ClusterState:
         epsilon: float = EPSILON,
         max_iterations: int | None = None,
     ):
-        self.store = store
         self.level = level
         self.C = 1 << level
         self.assignment = np.asarray(assignment, dtype=np.int32).copy()
@@ -184,7 +184,7 @@ class ClusterState:
         self.epsilon = epsilon
         self.max_iterations = 4 * store.V if max_iterations is None else max_iterations
         self.acmi = acmi(self.matrix)
-        self.moves_log: list[tuple[int, int, int]] = []
+        self.moved: list[int] = []
 
     def eligible_words(self) -> np.ndarray:
         """Unpinned words whose class still has company (movable)."""
@@ -193,14 +193,14 @@ class ClusterState:
         return np.nonzero(movable)[0]
 
     def _shift(self, w: int, frm: int, to: int) -> None:
-        apply_move(self.matrix, self.bank.vectors(w), frm, to)
+        apply_move(self.matrix, self.bank, w, frm, to)
         self.bank.move(w, frm, to)
         self.assignment[w] = to
 
     def commit(self, w: int, to: int) -> None:
         frm = int(self.assignment[w])
         self._shift(w, frm, to)
-        self.moves_log.append((w, frm, to))
+        self.moved.append(w)
 
     def retract(self, w: int, back_to: int) -> None:
         self._shift(w, int(self.assignment[w]), back_to)
@@ -281,7 +281,7 @@ def run_level(state: ClusterState, strategy: str) -> LevelStats:
         wall_time=time.perf_counter() - t0,
         capped=capped,
         acmi_trace=trace,
-        moved_words=[w for w, _, _ in state.moves_log],
+        moved_words=list(state.moved),
     )
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from tagsplit import (
-    ContextVectors,
     TokenizerOptions,
     TokenStream,
     Vocabulary,
@@ -55,7 +55,15 @@ def pair_count(store, w, v) -> int:
     return 0
 
 
-def context_vectors(store, assignment, w, C) -> ContextVectors:
+class Context(NamedTuple):
+    """One word's class-context counts; see ContextBank for the meaning."""
+
+    left: np.ndarray
+    right: np.ndarray
+    self_count: int
+
+
+def context_vectors(store, assignment, w, C) -> Context:
     """One word's context vectors by a pass over its sparse lists."""
     if w < 0 or w >= store.V:
         raise ValueError(f"unknown word id {w}")
@@ -65,7 +73,7 @@ def context_vectors(store, assignment, w, C) -> ContextVectors:
     right = np.zeros(C, dtype=np.int64)
     ids, cnts = store.pred(w)
     np.add.at(right, assignment[ids], cnts)
-    return ContextVectors(w, left, right, int(store.self_count[w]))
+    return Context(left, right, int(store.self_count[w]))
 
 
 def _char_kind_oracle(ch: str) -> int:

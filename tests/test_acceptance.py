@@ -131,11 +131,11 @@ def test_criterion_1_and_2_delta_oracle_and_cost():
             for to in range(C):
                 if to == frm:
                     continue
-                d = delta_acmi(matrix, bank.vectors(w), frm, to, counter)
+                d = delta_acmi(matrix, bank, w, frm, to, counter)
                 if counter.last_call > 8 * (C - 1):
                     over_budget += 1
                 after = matrix.copy()
-                apply_move(after, bank.vectors(w), frm, to)
+                apply_move(after, bank, w, frm, to)
                 worst = max(worst, abs(d - (acmi(after) - base)))
                 checked += 1
         assert over_budget == 0
@@ -159,7 +159,7 @@ def test_criterion_3_matrix_integrity():
         to = int(rng.integers(0, C))
         if to == frm:
             to = (to + 1) % C
-        apply_move(matrix, bank.vectors(w), frm, to)
+        apply_move(matrix, bank, w, frm, to)
         bank.move(w, frm, to)
         assignment[w] = to
     rebuilt = class_matrix(store, assignment, C)

@@ -188,8 +188,7 @@ class TestApplyMove:
         assignment = np.array([0, 0, 0])
         m = class_matrix(store, assignment, 2)
         before = m.counts.copy()
-        ctx = context_vectors(store, assignment, 2, 2)
-        apply_move(m, ctx, 0, 1)
+        apply_move(m, ContextBank(store, assignment, 2), 2, 0, 1)
         assert np.array_equal(m.counts, before)
 
     def test_self_pair_mass_lands_once(self):
@@ -197,8 +196,7 @@ class TestApplyMove:
         store = count_bigrams(make_stream([0, 0, 0]), 2)
         assignment = np.array([0, 1])
         m = class_matrix(store, assignment, 2)
-        ctx = context_vectors(store, assignment, 0, 2)
-        apply_move(m, ctx, 0, 1)
+        apply_move(m, ContextBank(store, assignment, 2), 0, 0, 1)
         assert m.counts[0, 0] == 0
         assert m.counts[1, 1] == 2
         assert m.T == 2
@@ -216,7 +214,7 @@ class TestApplyMove:
             to = int(rng.integers(0, C))
             if to == frm:
                 to = (to + 1) % C
-            apply_move(m, bank.vectors(w), frm, to)
+            apply_move(m, bank, w, frm, to)
             bank.move(w, frm, to)
             assignment[w] = to
             rebuilt = class_matrix(store, assignment, C)
@@ -234,10 +232,10 @@ class TestApplyMove:
         w = int(np.argmax(store.succ_total))
         frm = int(assignment[w])
         to = (frm + 1) % C
-        apply_move(m, bank.vectors(w), frm, to)
+        apply_move(m, bank, w, frm, to)
         bank.move(w, frm, to)
         assignment[w] = to
-        apply_move(m, bank.vectors(w), to, frm)
+        apply_move(m, bank, w, to, frm)
         bank.move(w, to, frm)
         assert np.array_equal(m.counts, original)
 
@@ -245,11 +243,12 @@ class TestApplyMove:
         store = count_bigrams(make_stream([0, 1, 0, 1]), 2)
         assignment = np.array([0, 1])
         m = class_matrix(store, assignment, 2)
-        ctx = context_vectors(store, assignment, 0, 2)
-        apply_move(m, ctx, 0, 1)
-        # same vectors again: word 0 no longer holds mass in class 0
+        bank = ContextBank(store, assignment, 2)
+        apply_move(m, bank, 0, 0, 1)
+        # the same move again, bank unrepaired: word 0 no longer holds
+        # mass in class 0
         with pytest.raises(ConsistencyError):
-            apply_move(m, ctx, 0, 1)
+            apply_move(m, bank, 0, 0, 1)
 
     def test_incremental_bank_matches_recompute(self):
         stream, assignment, store = random_instance(31, V=30, length=800, C=4)

@@ -71,6 +71,13 @@ class TestGenerateElman:
         rc = main(["generate-elman", "--sentences", "0", "--out", str(tmp_path / "x")])
         assert rc == EXIT_USAGE
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["generate-elman", "--sentences", "5", "--seed", "-1", "--out", str(out)])
+        assert rc == EXIT_USAGE
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCluster:
     def test_outputs_and_manifest(self, elman_corpus, tmp_path):
@@ -145,6 +152,13 @@ class TestCluster:
         rc, *_ = run_cluster(elman_corpus, tmp_path, levels="11")
         assert rc == EXIT_USAGE
         assert "1024" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["m", "znr", "znrp"])
+    def test_negative_seed_exit_2(self, elman_corpus, tmp_path, capsys, method):
+        rc, tags, _ = run_cluster(elman_corpus, tmp_path, "--seed", "-1", method=method)
+        assert rc == EXIT_USAGE
+        assert "seed" in capsys.readouterr().err
+        assert not tags.exists()
 
     def test_zero_top_words_exit_2(self, elman_corpus, tmp_path):
         rc, *_ = run_cluster(elman_corpus, tmp_path, top="0")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagsplit import (
+    BigramStore,
     ClassMatrix,
     ConsistencyError,
     ContextBank,
@@ -90,13 +91,13 @@ class TestDeltaAcmi:
         assignment = np.array([0, 1, 0])
         matrix = class_matrix(store, assignment, 2)
         bank = ContextBank(store, assignment, 2)
-        d = delta_acmi(matrix, bank.vectors(2), 0, 1)
+        d = delta_acmi(matrix, bank, 2, 0, 1)
         assert d == pytest.approx(0.0, abs=1e-12)
 
     def test_same_class_rejected(self):
         _, assignment, matrix, bank = self._setup(3, 4)
         with pytest.raises(ValueError):
-            delta_acmi(matrix, bank.vectors(0), 1, 1)
+            delta_acmi(matrix, bank, 0, 1, 1)
 
     def test_matches_full_recompute_everywhere(self):
         for seed, C in [(1, 4), (2, 8), (3, 2)]:
@@ -107,9 +108,9 @@ class TestDeltaAcmi:
                 for to in range(C):
                     if to == frm:
                         continue
-                    d = delta_acmi(matrix, bank.vectors(w), frm, to)
+                    d = delta_acmi(matrix, bank, w, frm, to)
                     after = matrix.copy()
-                    apply_move(after, bank.vectors(w), frm, to)
+                    apply_move(after, bank, w, frm, to)
                     assert d == pytest.approx(
                         acmi(after) - base, abs=1e-9 * max(1.0, abs(base))
                     )
@@ -117,7 +118,7 @@ class TestDeltaAcmi:
     def test_matrix_not_mutated(self):
         _, assignment, matrix, bank = self._setup(5, 4)
         snapshot = matrix.counts.copy()
-        delta_acmi(matrix, bank.vectors(1), int(assignment[1]), int(assignment[1]) ^ 1)
+        delta_acmi(matrix, bank, 1, int(assignment[1]), int(assignment[1]) ^ 1)
         assert np.array_equal(matrix.counts, snapshot)
         assert np.array_equal(matrix.row, snapshot.sum(axis=1))
 
@@ -130,7 +131,7 @@ class TestDeltaAcmi:
                 for to in range(C):
                     if to == frm:
                         continue
-                    delta_acmi(matrix, bank.vectors(w), frm, to, counter)
+                    delta_acmi(matrix, bank, w, frm, to, counter)
                     assert counter.last_call <= 8 * (C - 1)
 
     def test_scale_invariance_of_deltas(self):
@@ -138,11 +139,11 @@ class TestDeltaAcmi:
         w = int(np.argmax(store.succ_total))
         frm = int(assignment[w])
         to = (frm + 1) % 4
-        d1 = delta_acmi(matrix, bank.vectors(w), frm, to)
+        d1 = delta_acmi(matrix, bank, w, frm, to)
+        # every bigram seen 7 times as often
+        store7 = BigramStore(store.V, store.left, store.right, store.counts * 7)
         scaled = ClassMatrix(4, matrix.counts * 7)
-        ctx = bank.vectors(w)
-        ctx_scaled = type(ctx)(ctx.word, ctx.left * 7, ctx.right * 7, ctx.self_count * 7)
-        d7 = delta_acmi(scaled, ctx_scaled, frm, to)
+        d7 = delta_acmi(scaled, ContextBank(store7, assignment, 4), w, frm, to)
         assert d7 == pytest.approx(d1, abs=1e-12)
 
     def test_stale_vectors_detected(self):
@@ -155,11 +156,9 @@ class TestDeltaAcmi:
         assignment = np.array([0, 1])
         matrix = class_matrix(store, assignment, 2)
         bank = ContextBank(store, assignment, 2)
-        stale = bank.vectors(0)
-        stale = type(stale)(0, stale.left.copy(), stale.right.copy(), stale.self_count)
-        apply_move(matrix, bank.vectors(0), 0, 1)
+        apply_move(matrix, bank, 0, 0, 1)
         with pytest.raises(ConsistencyError):
-            delta_acmi(matrix, stale, 0, 1)
+            delta_acmi(matrix, bank, 0, 0, 1)
 
     def test_untouched_cells_cancel_in_delta(self):
         # moving w between classes a->b and summing delta with the reverse
@@ -168,17 +167,17 @@ class TestDeltaAcmi:
         w = int(np.argmax(store.pred_total))
         frm = int(assignment[w])
         to = (frm + 3) % 8
-        d_fwd = delta_acmi(matrix, bank.vectors(w), frm, to)
-        apply_move(matrix, bank.vectors(w), frm, to)
+        d_fwd = delta_acmi(matrix, bank, w, frm, to)
+        apply_move(matrix, bank, w, frm, to)
         bank.move(w, frm, to)
         assignment[w] = to
-        d_back = delta_acmi(matrix, bank.vectors(w), to, frm)
+        d_back = delta_acmi(matrix, bank, w, to, frm)
         assert d_fwd + d_back == pytest.approx(0.0, abs=1e-10)
 
 
 def scalar_deltas(matrix, bank, words, frm):
     return np.array([
-        delta_acmi(matrix, bank.vectors(int(w)), int(f), int(f) ^ 1)
+        delta_acmi(matrix, bank, int(w), int(f), int(f) ^ 1)
         for w, f in zip(words, frm)
     ])
 
@@ -254,7 +253,7 @@ class TestBatchDeltas:
         assignment = np.array([0, 1])
         matrix = class_matrix(store, assignment, 2)
         bank = ContextBank(store, assignment, 2)
-        apply_move(matrix, bank.vectors(0), 0, 1)
+        apply_move(matrix, bank, 0, 0, 1)
         with pytest.raises(ConsistencyError):
             batch_deltas(matrix, bank, np.array([0]), np.array([0]))
 

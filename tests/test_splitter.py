@@ -21,7 +21,13 @@ from tagsplit import (
     run_level,
 )
 from tagsplit import splitter
-from conftest import acmi_oracle, class_matrix_oracle, make_stream, random_instance
+from conftest import (
+    acmi_oracle,
+    class_matrix_oracle,
+    context_vectors,
+    make_stream,
+    random_instance,
+)
 
 
 def tiny_corpus(tokens, top_k=None):
@@ -158,12 +164,49 @@ class TestRunLevel:
         assert run_level(state, "znr").acmi_after == pytest.approx(1.0, abs=1e-12)
 
 
+class TestCommitRetract:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        level=st.integers(1, 4),
+        self_pair=st.booleans(),
+        pick=st.integers(0, 2**16),
+    )
+    def test_commit_then_retract_is_exact(self, seed, level, self_pair, pick):
+        C = 1 << level
+        _, assignment, store = random_instance(seed, C=C)
+        # self_pair: a word with a bigram (w, w), whose mass sits in both
+        # of its own context rows
+        pool = np.flatnonzero(store.self_count > 0) if self_pair else np.arange(store.V)
+        assume(len(pool))
+        w = int(pool[pick % len(pool)])
+        state = ClusterState(store, assignment, level)
+        m, bank = state.matrix, state.bank
+
+        def snapshot():
+            return [a.copy() for a in (
+                m.counts, m.row, m.col, bank.left, bank.right, state.assignment
+            )]
+
+        before = snapshot()
+        frm = int(state.assignment[w])
+        state.commit(w, frm ^ 1)
+        assert state.moved == [w]
+        for v in range(store.V):
+            fresh = context_vectors(store, state.assignment, v, C)
+            assert np.array_equal(bank.left[v], fresh.left)
+            assert np.array_equal(bank.right[v], fresh.right)
+        state.retract(w, frm)
+        for old, new in zip(before, snapshot()):
+            assert np.array_equal(old, new)
+
+
 def reference_deltas(state):
     """Scalar delta_acmi for every eligible word, in word order."""
     words = state.eligible_words()
     return words, np.array([
         delta_acmi(
-            state.matrix, state.bank.vectors(int(w)),
+            state.matrix, state.bank, int(w),
             int(state.assignment[w]), int(state.assignment[w]) ^ 1,
         )
         for w in words
@@ -196,7 +239,7 @@ class TestSearchSelection:
                 continue
             best = int(words[np.argmax(d)]) if d.size and d.max() > EPSILON else None
             splitter._iteration(state, False)
-            chosen = [w for w, _, _ in state.moves_log]
+            chosen = state.moved
             assert chosen == ([] if best is None else [best])
             checked += 1
         assert checked >= 30
@@ -215,7 +258,7 @@ class TestSearchSelection:
                 if d[i] > EPSILON:
                     expected.add(int(words[i]))
             splitter._iteration(state, True)
-            assert {w for w, _, _ in state.moves_log} == expected
+            assert set(state.moved) == expected
             checked += 1
         assert checked >= 20
 
@@ -225,7 +268,7 @@ class TestSearchSelection:
         for strategy in ("znr", "znrp"):
             state = ClusterState(store, np.array([0, 0]), 1)
             run_level(state, strategy)
-            assert state.moves_log[0][0] == 0
+            assert state.moved[0] == 0
 
     def test_zero_delta_is_not_a_move(self):
         # word 12 never occurs, so moving it scores exactly 0: once the
@@ -235,9 +278,9 @@ class TestSearchSelection:
         for strategy, per_parent in (("znr", False), ("znrp", True)):
             state = ClusterState(store, np.zeros(13, dtype=np.int32), 1)
             run_level(state, strategy)
-            n_moves = len(state.moves_log)
+            n_moves = len(state.moved)
             assert splitter._iteration(state, per_parent) == (False, 0, 0)
-            assert len(state.moves_log) == n_moves
+            assert len(state.moved) == n_moves
 
     def test_lone_parallel_move_books_exact_acmi(self):
         # at level 1 there is one parent, so every znrp step commits at
@@ -247,12 +290,12 @@ class TestSearchSelection:
             if state.level != 1:
                 continue
             while True:
-                n_moves = len(state.moves_log)
+                n_moves = len(state.moved)
                 progressed, n_c, n_r = splitter._iteration(state, True)
                 if not progressed:
                     break
                 assert (n_c, n_r) == (1, 0)
-                assert len(state.moves_log) == n_moves + 1
+                assert len(state.moved) == n_moves + 1
                 assert abs(state.acmi - acmi(state.matrix)) <= 1e-9
                 steps += 1
         assert steps >= 20
