@@ -1,12 +1,14 @@
 """Word-level bigram counts and the dense class-bigram contingency matrix.
 
 BigramStore holds exact integer counts of adjacent in-segment token pairs,
-mirrored as successor and predecessor lists per word.  ClassMatrix is the
+mirrored as successor and predecessor lists per word (succ_edges and
+pred_edges list those of a set of words at once).  ClassMatrix is the
 C x C table of bigram counts by (left class, right class) with row/column
 marginals; moving one word between classes touches only two rows and two
 columns, so the matrix is maintained incrementally (apply_move) and kept
 bit-identical to a from-scratch rebuild.  ContextBank caches, per word, the
-class-context counts that every move routine reads as (matrix, bank, word).
+class-context counts that every move routine reads as (matrix, bank, word),
+and the class ids they mirror.
 
 All counts are int64; probabilities appear only in the objective module.
 """
@@ -55,6 +57,22 @@ class BigramStore:
         lo, hi = self._pred_bounds[w], self._pred_bounds[w + 1]
         return self._pred_left[lo:hi], self._pred_counts[lo:hi]
 
+    def succ_edges(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(k, v) for every bigram (words[k], v), ascending in k."""
+        return _edges(self._succ_bounds, self.right, words)
+
+    def pred_edges(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(k, v) for every bigram (v, words[k]), ascending in k."""
+        return _edges(self._pred_bounds, self._pred_left, words)
+
+
+def _edges(bounds: np.ndarray, targets: np.ndarray, words: np.ndarray):
+    # concatenated slices targets[bounds[w]:bounds[w+1]] for w in words
+    lo = bounds[words]
+    n = bounds[words + 1] - lo
+    k = np.repeat(np.arange(len(words)), n)
+    return k, targets[np.arange(len(k)) + np.repeat(lo - np.cumsum(n) + n, n)]
+
 
 def count_bigrams(stream: TokenStream, V: int | None = None) -> BigramStore:
     """Count adjacent in-segment pairs once each; breaks sever pairs."""
@@ -68,12 +86,14 @@ def count_bigrams(stream: TokenStream, V: int | None = None) -> BigramStore:
     br = np.asarray(stream.breaks, dtype=np.int64)
     br = br[(br > 0) & (br < len(ids))]
     keep[br - 1] = False
-    # one corpus-long int64 key array, built in place and freed once masked
-    key = ids[:-1].astype(np.int64)
+    # one corpus-long key array, built in place and freed once masked;
+    # int32 wherever every key left*V + right fits, and only uniq widened
+    key = ids[:-1].astype(np.int32 if V * V <= 2**31 else np.int64)
     key *= V
     key += ids[1:]
     key = key[keep]
     uniq, cnt = np.unique(key, return_counts=True)
+    uniq = uniq.astype(np.int64)
     return BigramStore(V, uniq // V, uniq % V, cnt.astype(np.int64))
 
 
@@ -88,10 +108,6 @@ class ClassMatrix:
         self.row = self.counts.sum(axis=1)
         self.col = self.counts.sum(axis=0)
         self.T = int(self.counts.sum())
-
-    def copy(self) -> "ClassMatrix":
-        m = ClassMatrix(self.C, self.counts.copy())
-        return m
 
 
 def class_matrix(store: BigramStore, assignment: np.ndarray, C: int) -> ClassMatrix:
@@ -111,20 +127,22 @@ class ContextBank:
 
     left[w, c] counts bigrams (w, v) and right[w, c] bigrams (v, w) with v
     now in class c; f(w, w) = store.self_count[w] is in both at w's class.
+    assignment is the bank's own int32 copy of the class ids it mirrors.
     When word u commits a move only the rows of u's sparse neighbours
     change, keeping per-candidate scoring independent of corpus size.
     """
 
     def __init__(self, store: BigramStore, assignment: np.ndarray, C: int):
         self.store = store
-        a = np.asarray(assignment)
+        self.assignment = a = np.array(assignment, dtype=np.int32)
         self.left = np.zeros((store.V, C), dtype=np.int64)
         np.add.at(self.left, (store.left, a[store.right]), store.counts)
         self.right = np.zeros((store.V, C), dtype=np.int64)
         np.add.at(self.right, (store.right, a[store.left]), store.counts)
 
     def move(self, w: int, frm: int, to: int) -> None:
-        """Repair neighbours' rows after w moved frm -> to."""
+        """Record w's move frm -> to and repair its neighbours' rows."""
+        self.assignment[w] = to
         ids, cnts = self.store.pred(w)
         self.left[ids, frm] -= cnts
         self.left[ids, to] += cnts

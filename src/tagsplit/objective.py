@@ -17,7 +17,13 @@ nonzero, plus the four corner cells and four marginals.  Both scorers take
 (matrix, bank, word(s), frm) and read the context from the ContextBank.
 batch_deltas scores every candidate move of a search pass at once on that
 identity: 4 h-terms per nonzero off-corner context entry plus 16 for the
-corners and marginals, in one vectorised pass.  delta_acmi is the scalar
+corners and marginals, in one vectorised pass.  It finds the nonzero
+context cells of the n scored words by scanning their dense bank rows
+while C * n is at most EDGE_FACTOR (4) times the number of bigram pairs,
+and above that from their bigram edges mapped through the bank's class
+ids, so deep levels cost O(edges), not O(n C); both give the same cells
+in the same order.  line_terms sums the h-terms of a set of rows and columns, so a
+commit confined to them is booked exactly.  delta_acmi is the scalar
 reference: it re-evaluates the two rows and columns before and after the
 move, at most 8(C-1) log terms, and an optional counter counts them.
 """
@@ -34,6 +40,13 @@ from .errors import ConsistencyError, UndefinedObjectiveError
 # Improvement threshold: deltas in (-EPSILON, EPSILON] are non-improving,
 # so floating-point noise can never drive the search loops.
 EPSILON = 1e-12
+
+# batch_deltas reads context cells from the bigram edges once C * n exceeds
+# EDGE_FACTOR times the pair count.  The dense scan costs about C per word,
+# the edge cells about a sort of the words' edges; timed per level on
+# novel-znrp (V=503, 10 levels, final class ids) the edges win from
+# C * n near 3-5 times the pair count: 1.1-1.2x slower at 2.4, 0.85x at 4.6.
+EDGE_FACTOR = 4
 
 
 class LogEvalCounter:
@@ -201,6 +214,25 @@ def _h(n: np.ndarray) -> np.ndarray:
     return n * np.log2(np.maximum(n, 1.0))
 
 
+def line_terms(matrix: ClassMatrix, classes: np.ndarray) -> float:
+    """T * ACMI's share from rows and columns `classes` (distinct ids).
+
+    sum h(N) over their cells, each intersection once, minus h of their
+    row and column marginals.  An update confined to those lines changes
+    ACMI by exactly (after - before) / T.
+    """
+    N = matrix.counts
+    s = -float(_h(np.concatenate((matrix.row[classes], matrix.col[classes]))).sum())
+    for lines, counted in ((N, []), (N.T, classes)):
+        block = lines[classes]
+        block[:, counted] = 0  # each intersection once, in the rows
+        # only the nonzero cells go to float; one block alive at a time
+        x = block[block > 0].astype(np.float64)
+        del block
+        s += float(np.dot(x, np.log2(x)))
+    return s
+
+
 def _check_counts(what: str, values: np.ndarray, owners: np.ndarray) -> None:
     bad = np.flatnonzero(values < 0)
     if len(bad):
@@ -224,12 +256,28 @@ def batch_deltas(
       the h-changes of the four corner cells,
       minus the h-changes of r[a], r[b], c[a], c[b].
 
-    Equals delta_acmi move for move to floating-point rounding, and raises
-    ConsistencyError where the bank no longer matches the matrix.
+    The context cells come from the words' bigram edges when C * len(words)
+    exceeds EDGE_FACTOR times the number of bigram pairs, else from the
+    dense bank rows; both give the same cells in the same order, so the
+    same deltas.  Equals delta_acmi move for move to floating-point
+    rounding, and raises ConsistencyError where the bank no longer matches
+    the matrix.
     """
+    words = np.asarray(words, dtype=np.int64)
+    from_edges = matrix.C * len(words) > EDGE_FACTOR * len(bank.store.counts)
+    return _batch_deltas(matrix, bank, words, frm, from_edges)
+
+
+def _batch_deltas(
+    matrix: ClassMatrix,
+    bank: ContextBank,
+    words: np.ndarray,
+    frm: np.ndarray,
+    from_edges: bool,
+) -> np.ndarray:
+    """batch_deltas with its context cells read from the edges or not."""
     if matrix.T == 0:
         raise UndefinedObjectiveError("ACMI is undefined on an empty matrix (T = 0)")
-    words = np.asarray(words, dtype=np.int64)
     a = np.asarray(frm, dtype=np.int64)
     b = a ^ 1
     store = bank.store
@@ -238,12 +286,32 @@ def batch_deltas(
 
     # off-corner cells: rows a and b at w's successor classes, then
     # columns a and b (rows of N.T) at w's predecessor classes
-    for ctx, lines in ((bank.left, N), (bank.right, N.T)):
-        sub = ctx[words]
-        k, j = np.nonzero(sub)
+    for ctx, lines, edges in (
+        (bank.left, N, store.succ_edges),
+        (bank.right, N.T, store.pred_edges),
+    ):
+        if from_edges:
+            # an edge feeds the cell of its neighbour's class; sorting the
+            # keys k*C + class and keeping the first of each run gives
+            # np.nonzero's row-major order (np.unique would import numpy.ma)
+            k, v = edges(words)
+            keys = k * matrix.C + bank.assignment[v]
+            keys.sort()
+            first = np.ones(len(keys), dtype=bool)
+            first[1:] = keys[1:] != keys[:-1]
+            k, j = np.divmod(keys[first], matrix.C)
+        else:
+            k, j = np.nonzero(ctx[words])
         keep = (j != a[k]) & (j != b[k])
         k, j = k[keep], j[keep]
-        x = sub[k, j]
+        x = ctx[words[k], j]
+        # an edge into a class where the bank holds nothing: the bank lags
+        # the class ids (np.nonzero cannot list such a cell)
+        if from_edges and not (x > 0).all():
+            raise ConsistencyError(
+                f"word {int(words[k[x <= 0][0]])} has a bigram into a class where "
+                "its context count is not positive; context vectors are stale"
+            )
         na = lines[a[k], j]
         nb = lines[b[k], j]
         _check_counts("cell", na - x, words[k])

@@ -17,10 +17,13 @@ the group each search step picks its best move from:
 A step scores every eligible move in one batch, against the state frozen
 at step start, and commits the best of each group if it beats epsilon
 (ties go to the lowest word id).  A lone move's frozen delta is exact, so
-it is booked without a rescan.  A batch of two or more is rescanned with
-acmi(); if it lowered the objective, its moves are retracted one at a
-time, lowest-scoring first, until it no longer sits below the step-start
-value.
+it is booked as is.  A batch of two or more is booked exactly from the
+h-terms of its touched sibling classes' rows and columns, summed before
+and after it commits (line_terms); if it lowered the objective, its moves
+are retracted one at a time, lowest-scoring first, each booked the same
+way over its one sibling pair, until the batch no longer sits below the
+step-start value.  acmi() runs only once at the start and once at the end
+of each level, the second time as the drift guard.
 
 A word alone in its class rides down with bit 0 and stays alone: moves
 only cross sibling classes and a lone word is never eligible.  Its tag
@@ -41,7 +44,7 @@ import numpy as np
 from .bigram import MAX_CLASSES, MAX_LEVELS, BigramStore, ContextBank, apply_move, class_matrix
 from .corpus import Vocabulary
 from .errors import ConfigError, ConsistencyError, IngestionError
-from .objective import EPSILON, acmi, batch_deltas
+from .objective import EPSILON, acmi, batch_deltas, line_terms
 # not called here; perfbench/invoke.py wraps these on this module by name
 from .objective import delta_acmi, pair_before_sum  # noqa: F401
 
@@ -162,6 +165,7 @@ class ClusterState:
 
     Single-writer: commits are serialized; scoring reads a consistent
     snapshot between commits.  moved lists the committed words in order.
+    The class ids live in the bank, which every move updates.
     """
 
     def __init__(
@@ -175,9 +179,8 @@ class ClusterState:
     ):
         self.level = level
         self.C = 1 << level
-        self.assignment = np.asarray(assignment, dtype=np.int32).copy()
-        self.matrix = class_matrix(store, self.assignment, self.C)
-        self.bank = ContextBank(store, self.assignment, self.C)
+        self.matrix = class_matrix(store, assignment, self.C)
+        self.bank = ContextBank(store, assignment, self.C)
         self.pinned_mask = (
             np.zeros(store.V, dtype=bool) if pinned_mask is None else pinned_mask
         )
@@ -185,6 +188,10 @@ class ClusterState:
         self.max_iterations = 4 * store.V if max_iterations is None else max_iterations
         self.acmi = acmi(self.matrix)
         self.moved: list[int] = []
+
+    @property
+    def assignment(self) -> np.ndarray:
+        return self.bank.assignment
 
     def eligible_words(self) -> np.ndarray:
         """Unpinned words whose class still has company (movable)."""
@@ -195,7 +202,6 @@ class ClusterState:
     def _shift(self, w: int, frm: int, to: int) -> None:
         apply_move(self.matrix, self.bank, w, frm, to)
         self.bank.move(w, frm, to)
-        self.assignment[w] = to
 
     def commit(self, w: int, to: int) -> None:
         frm = int(self.assignment[w])
@@ -226,21 +232,27 @@ def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int, int]:
     if not len(best):
         return False, 0, 0
     start = state.acmi
-    for i in best:
-        state.commit(int(words[i]), int(frm[i]) ^ 1)
     if len(best) == 1:
         # a lone move's frozen delta is exact
+        state.commit(int(words[best[0]]), int(frm[best[0]]) ^ 1)
         state.acmi = start + float(d[best[0]])
         return True, 1, 0
-    state.acmi = acmi(state.matrix)
+    # one move per parent, so the touched sibling pairs are disjoint
+    touched = np.concatenate((frm[best], frm[best] ^ 1))
+    before = line_terms(state.matrix, touched)
+    for i in best:
+        state.commit(int(words[i]), int(frm[i]) ^ 1)
+    state.acmi += (line_terms(state.matrix, touched) - before) / state.matrix.T
     retracted = 0
     # a batch that lowered the objective gives back its lowest-scoring
     # moves first until it no longer sits below the step-start value
     for i in sorted(best, key=lambda i: (float(d[i]), int(words[i]))):
         if state.acmi >= start:
             break
+        pair = np.array([frm[i], frm[i] ^ 1])
+        before = line_terms(state.matrix, pair)
         state.retract(int(words[i]), int(frm[i]))
-        state.acmi = acmi(state.matrix)
+        state.acmi += (line_terms(state.matrix, pair) - before) / state.matrix.T
         retracted += 1
     progressed = retracted < len(best) and state.acmi - start > state.epsilon
     return progressed, len(best), retracted

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from tagsplit import (
+    ClassMatrix,
     ClusterConfig,
     ContextBank,
     LogEvalCounter,
@@ -134,7 +135,7 @@ def test_criterion_1_and_2_delta_oracle_and_cost():
                 d = delta_acmi(matrix, bank, w, frm, to, counter)
                 if counter.last_call > 8 * (C - 1):
                     over_budget += 1
-                after = matrix.copy()
+                after = ClassMatrix(C, matrix.counts.copy())
                 apply_move(after, bank, w, frm, to)
                 worst = max(worst, abs(d - (acmi(after) - base)))
                 checked += 1

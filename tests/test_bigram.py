@@ -44,9 +44,10 @@ class TestCountBigrams:
         assert count_bigrams(make_stream([])).V == 0
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(data=st.data(), V=st.sampled_from([1, 2, 5, 70_000]))
+    @given(data=st.data(), V=st.sampled_from([1, 2, 5, 46_340, 70_000]))
     def test_matches_pair_oracle(self, data, V):
-        # V=70,000 puts keys past 2**32, so int32 key arithmetic would wrap
+        # V=70,000 puts keys past 2**32, so int32 key arithmetic would wrap;
+        # 46,340 is the largest V whose keys are built in int32
         ids = data.draw(st.lists(st.integers(0, V - 1), max_size=30))
         cuts = st.integers(0, len(ids))
         breaks = sorted(data.draw(st.lists(cuts, unique=True, max_size=6)))
@@ -80,6 +81,19 @@ class TestCountBigrams:
                 ids, cnts = store.pred(v)
                 assert cnts[list(ids).index(w)] == c
             assert sum(pairs.values()) == store.T
+
+    def test_edges_list_succ_and_pred_of_a_word_set(self):
+        stream, _, store = random_instance(4, V=30)
+        rng = np.random.default_rng(4)
+        # repeats, any order, and words without bigrams
+        words = np.concatenate((rng.integers(0, store.V, 25), [store.V - 1] * 2))
+        for edges, lists in ((store.succ_edges, store.succ), (store.pred_edges, store.pred)):
+            k, v = edges(words)
+            assert np.all(np.diff(k) >= 0)
+            for i, w in enumerate(words):
+                assert np.array_equal(v[k == i], lists(int(w))[0])
+        k, v = store.succ_edges(np.zeros(0, dtype=np.int64))
+        assert len(k) == len(v) == 0
 
     def test_totals_per_word(self):
         stream, _, store = random_instance(3)

@@ -18,6 +18,7 @@ from tagsplit import (
     count_bigrams,
     delta_acmi,
 )
+from tagsplit import objective
 from conftest import acmi_oracle, make_stream, random_instance
 
 
@@ -109,7 +110,7 @@ class TestDeltaAcmi:
                     if to == frm:
                         continue
                     d = delta_acmi(matrix, bank, w, frm, to)
-                    after = matrix.copy()
+                    after = ClassMatrix(C, matrix.counts.copy())
                     apply_move(after, bank, w, frm, to)
                     assert d == pytest.approx(
                         acmi(after) - base, abs=1e-9 * max(1.0, abs(base))
@@ -266,3 +267,64 @@ class TestBatchDeltas:
         matrix.counts[0, 2] -= 1
         with pytest.raises(ConsistencyError, match="word 0"):
             batch_deltas(matrix, bank, np.array([1, 0]), np.array([1, 0]))
+
+
+class TestContextCellBranches:
+    """batch_deltas lists context cells from the dense bank rows or, when
+    C * n is more than EDGE_FACTOR times the pair count, from the bigram
+    edges; the two branches must give bit-identical deltas."""
+
+    def _moved_instance(self, seed, C):
+        # a bank that has followed some moves, so the edges go through
+        # class ids that ContextBank.move updated
+        _, assignment, store = random_instance(seed, V=40, length=600, C=C)
+        matrix = class_matrix(store, assignment, C)
+        bank = ContextBank(store, assignment, C)
+        rng = np.random.default_rng(seed)
+        for w in rng.integers(0, store.V, 15):
+            frm = int(bank.assignment[w])
+            apply_move(matrix, bank, int(w), frm, frm ^ 1)
+            bank.move(int(w), frm, frm ^ 1)
+        return store, matrix, bank
+
+    @pytest.mark.parametrize("C", [2, 4, 64, 256, 1024])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_branches_agree_exactly(self, seed, C, monkeypatch):
+        store, matrix, bank = self._moved_instance(100 + seed, C)
+        words = np.arange(store.V)
+        frm = bank.assignment[words]
+        dense = objective._batch_deltas(matrix, bank, words, frm, False)
+        edges = objective._batch_deltas(matrix, bank, words, frm, True)
+        assert np.array_equal(dense, edges)
+        picked = []
+        inner = objective._batch_deltas
+        monkeypatch.setattr(
+            objective,
+            "_batch_deltas",
+            lambda *args: picked.append(args[-1]) or inner(*args),
+        )
+        assert np.array_equal(batch_deltas(matrix, bank, words, frm), dense)
+        # batch_deltas's switch rule picks the edges exactly at the large C
+        assert picked == [C >= 64]
+        assert np.allclose(dense, scalar_deltas(matrix, bank, words, frm), rtol=0, atol=1e-9)
+        part = words[::3]
+        assert np.array_equal(
+            objective._batch_deltas(matrix, bank, part, frm[part], True), dense[::3]
+        )
+
+    def test_stale_edge_cell_detected(self):
+        # word 0's successor word 2 sits in class 2; the bank's class ids
+        # move it to class 3 without repairing the counts, so the edge
+        # points at a cell where the bank holds 0
+        store = count_bigrams(make_stream([0, 2, 0, 2, 1, 3]), 4)
+        assignment = np.array([0, 1, 2, 3])
+        matrix = class_matrix(store, assignment, 4)
+        bank = ContextBank(store, assignment, 4)
+        words, frm = np.array([1, 0]), np.array([1, 0])
+        bank.assignment[2] = 3
+        with pytest.raises(ConsistencyError, match="word 0"):
+            objective._batch_deltas(matrix, bank, words, frm, True)
+        bank.assignment[2] = 2
+        bank.left[0, 2] = -1
+        with pytest.raises(ConsistencyError, match="word 0"):
+            objective._batch_deltas(matrix, bank, words, frm, True)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +23,7 @@ from tagsplit import (
     run_level,
 )
 from tagsplit import splitter
+from tagsplit.synth import markov_text
 from conftest import (
     acmi_oracle,
     class_matrix_oracle,
@@ -299,6 +302,49 @@ class TestSearchSelection:
                 assert abs(state.acmi - acmi(state.matrix)) <= 1e-9
                 steps += 1
         assert steps >= 20
+
+    def test_batch_bookkeeping_is_exact(self, monkeypatch):
+        # znrp books each batch and each retraction from the h-terms of the
+        # lines it touched; a full acmi() runs only at a level's start and
+        # end.  This corpus retracts at levels 5 and 7.
+        vocab, stream = build_vocabulary(
+            markov_text(20_000, n_types=10_000, n_states=24, seed=7), 200
+        )
+        store = count_bigrams(stream, vocab.size)
+        full_calls = Counter()
+        full = splitter.acmi
+
+        def counted_acmi(matrix):
+            full_calls[matrix.C] += 1
+            return full(matrix)
+
+        checked = Counter()
+
+        def assert_booked(state, what):
+            assert abs(state.acmi - acmi(state.matrix)) <= 1e-9
+            checked[what] += 1
+
+        retract = splitter.ClusterState.retract
+
+        def checked_retract(state, w, back_to):
+            # the batch, or the retraction before this one, is booked
+            assert_booked(state, "retraction")
+            retract(state, w, back_to)
+
+        step = splitter._iteration
+
+        def checked_step(state, per_parent):
+            out = step(state, per_parent)
+            assert_booked(state, "batch" if out[1] >= 2 else "step")
+            return out
+
+        monkeypatch.setattr(splitter, "acmi", counted_acmi)
+        monkeypatch.setattr(splitter.ClusterState, "retract", checked_retract)
+        monkeypatch.setattr(splitter, "_iteration", checked_step)
+        _, stats = cluster(vocab, store, ClusterConfig(strategy="znrp", levels=10))
+        assert checked["retraction"] == sum(s.retracted_moves for s in stats) > 0
+        assert checked["batch"] > 50
+        assert full_calls == {1 << level: 2 for level in range(1, 11)}
 
     def test_pinned_and_lone_words_never_scored(self, monkeypatch):
         rng = np.random.default_rng(13)
