@@ -5,10 +5,12 @@ mirrored as successor and predecessor lists per word (succ_edges and
 pred_edges list those of a set of words at once).  ClassMatrix is the
 C x C table of bigram counts by (left class, right class) with row/column
 marginals; moving one word between classes touches only two rows and two
-columns, so the matrix is maintained incrementally (apply_move) and kept
-bit-identical to a from-scratch rebuild.  ContextBank caches, per word, the
-class-context counts that every move routine reads as (matrix, bank, word),
-and the class ids they mirror.
+columns, so the matrix is maintained incrementally (apply_move, which reads
+the word's class-context counts from its edges and the class ids) and kept
+bit-identical to a from-scratch rebuild.  ContextBank caches those counts
+densely, V x C per side, for the levels whose scorer reads them by row;
+deep levels build none, and the int32 class ids are their only per-word
+state.
 
 All counts are int64; probabilities appear only in the objective module.
 """
@@ -30,6 +32,14 @@ class BigramStore:
     def __init__(self, V: int, left: np.ndarray, right: np.ndarray, counts: np.ndarray):
         self.V = V
         self.T = int(counts.sum())
+        if self.T >= 2**53:
+            raise ValueError("more than 2**53 bigrams: float64 sums of counts would round")
+        # objective packs (word, class, count) into one int64 to sort edge cells
+        if V * MAX_CLASSES << int(counts.max(initial=0)).bit_length() > 2**63:
+            raise ValueError(
+                f"a bigram count too large for {V} words: (word, class, count) "
+                "would not fit in 63 bits"
+            )
         # flat unique triples (left word, right word, count), lex-sorted
         order = np.lexsort((right, left))
         self.left, self.right, self.counts = left[order], right[order], counts[order]
@@ -57,21 +67,22 @@ class BigramStore:
         lo, hi = self._pred_bounds[w], self._pred_bounds[w + 1]
         return self._pred_left[lo:hi], self._pred_counts[lo:hi]
 
-    def succ_edges(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(k, v) for every bigram (words[k], v), ascending in k."""
-        return _edges(self._succ_bounds, self.right, words)
+    def succ_edges(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(k, v, count) for every bigram (words[k], v), ascending in k."""
+        return _edges(self._succ_bounds, self.right, self.counts, words)
 
-    def pred_edges(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(k, v) for every bigram (v, words[k]), ascending in k."""
-        return _edges(self._pred_bounds, self._pred_left, words)
+    def pred_edges(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(k, v, count) for every bigram (v, words[k]), ascending in k."""
+        return _edges(self._pred_bounds, self._pred_left, self._pred_counts, words)
 
 
-def _edges(bounds: np.ndarray, targets: np.ndarray, words: np.ndarray):
-    # concatenated slices targets[bounds[w]:bounds[w+1]] for w in words
+def _edges(bounds: np.ndarray, targets: np.ndarray, counts: np.ndarray, words: np.ndarray):
+    # concatenated slices [bounds[w]:bounds[w+1]] for w in words
     lo = bounds[words]
     n = bounds[words + 1] - lo
     k = np.repeat(np.arange(len(words)), n)
-    return k, targets[np.arange(len(k)) + np.repeat(lo - np.cumsum(n) + n, n)]
+    at = np.arange(len(k)) + np.repeat(lo - np.cumsum(n) + n, n)
+    return k, targets[at], counts[at]
 
 
 def count_bigrams(stream: TokenStream, V: int | None = None) -> BigramStore:
@@ -123,26 +134,26 @@ def class_matrix(store: BigramStore, assignment: np.ndarray, C: int) -> ClassMat
 
 
 class ContextBank:
-    """Class-context counts for every word, repaired incrementally.
+    """Dense class-context counts for every word, repaired incrementally.
 
     left[w, c] counts bigrams (w, v) and right[w, c] bigrams (v, w) with v
-    now in class c; f(w, w) = store.self_count[w] is in both at w's class.
-    assignment is the bank's own int32 copy of the class ids it mirrors.
-    When word u commits a move only the rows of u's sparse neighbours
-    change, keeping per-candidate scoring independent of corpus size.
+    in class c under the assignment it was built from; f(w, w) =
+    store.self_count[w] is in both at w's class.  It costs 2 * V * C int64
+    cells, so only the levels where that is at most EDGE_FACTOR cells per
+    bigram pair keep one (see splitter.ClusterState).  When word u moves,
+    only the rows of u's sparse neighbours change.
     """
 
     def __init__(self, store: BigramStore, assignment: np.ndarray, C: int):
         self.store = store
-        self.assignment = a = np.array(assignment, dtype=np.int32)
+        a = np.asarray(assignment)
         self.left = np.zeros((store.V, C), dtype=np.int64)
         np.add.at(self.left, (store.left, a[store.right]), store.counts)
         self.right = np.zeros((store.V, C), dtype=np.int64)
         np.add.at(self.right, (store.right, a[store.left]), store.counts)
 
     def move(self, w: int, frm: int, to: int) -> None:
-        """Record w's move frm -> to and repair its neighbours' rows."""
-        self.assignment[w] = to
+        """Repair w's neighbours' rows for its move frm -> to."""
         ids, cnts = self.store.pred(w)
         self.left[ids, frm] -= cnts
         self.left[ids, to] += cnts
@@ -151,17 +162,32 @@ class ContextBank:
         self.right[ids, to] += cnts
 
 
-def apply_move(matrix: ClassMatrix, bank: ContextBank, w: int, frm: int, to: int) -> None:
+def apply_move(
+    matrix: ClassMatrix,
+    store: BigramStore,
+    assignment: np.ndarray,
+    w: int,
+    frm: int,
+    to: int,
+) -> None:
     """Shift word w's bigram mass from class frm to class to, in place.
 
-    Equivalent to deleting the word's mass under frm and re-inserting it
-    under to; the result is integer-identical to a from-scratch rebuild
-    under the post-move assignment.  bank.move(w, frm, to) repairs the bank.
+    w's row and column mass per class are read from its edges under
+    `assignment`, the class ids before the move (w still in frm), in
+    O(degree + C).  Equivalent to deleting the word's mass under frm and
+    re-inserting it under to; the result is integer-identical to a
+    from-scratch rebuild under the post-move assignment.  The caller then
+    sets assignment[w] = to.
     """
     if frm == to:
         raise ValueError("apply_move requires frm != to")
     N = matrix.counts
-    L, R, f = bank.left[w], bank.right[w], bank.store.self_count[w]
+    # float64 bincount sums are exact: a word's counts total at most T < 2**53
+    ids, cnts = store.succ(w)
+    L = np.bincount(assignment[ids], cnts, minlength=matrix.C).astype(np.int64)
+    ids, cnts = store.pred(w)
+    R = np.bincount(assignment[ids], cnts, minlength=matrix.C).astype(np.int64)
+    f = store.self_count[w]
     N[frm, :] -= L
     N[to, :] += L
     N[:, frm] -= R
@@ -172,7 +198,7 @@ def apply_move(matrix: ClassMatrix, bank: ContextBank, w: int, frm: int, to: int
     N[to, frm] -= f
     N[frm, to] -= f
     N[frm, frm] += f
-    sL, sR = bank.store.succ_total[w], bank.store.pred_total[w]
+    sL, sR = store.succ_total[w], store.pred_total[w]
     matrix.row[frm] -= sL
     matrix.row[to] += sL
     matrix.col[frm] -= sR
@@ -185,5 +211,5 @@ def apply_move(matrix: ClassMatrix, bank: ContextBank, w: int, frm: int, to: int
     ):
         raise ConsistencyError(
             f"apply_move drove a count negative (word {w}, {frm}->{to}); "
-            "context vectors are stale"
+            "the class ids do not match the matrix"
         )

@@ -13,19 +13,20 @@ with h(n) = n lg n and row/column totals r and c,
 
 Moving one word between classes changes only two rows and two columns of
 the matrix, and within them only the cells where the word's context is
-nonzero, plus the four corner cells and four marginals.  Both scorers take
-(matrix, bank, word(s), frm) and read the context from the ContextBank.
-batch_deltas scores every candidate move of a search pass at once on that
-identity: 4 h-terms per nonzero off-corner context entry plus 16 for the
-corners and marginals, in one vectorised pass.  It finds the nonzero
-context cells of the n scored words by scanning their dense bank rows
-while C * n is at most EDGE_FACTOR (4) times the number of bigram pairs,
-and above that from their bigram edges mapped through the bank's class
-ids, so deep levels cost O(edges), not O(n C); both give the same cells
-in the same order.  line_terms sums the h-terms of a set of rows and columns, so a
-commit confined to them is booked exactly.  delta_acmi is the scalar
+nonzero, plus the four corner cells and four marginals.  batch_deltas
+scores every candidate move of a search pass at once on that identity: 4
+h-terms per nonzero off-corner context cell plus 16 for the corners and
+marginals, in one vectorised pass.  It lists the n scored words' nonzero
+context cells from their dense ContextBank rows when the level keeps a
+bank, and otherwise from their bigram edges and the class ids, summing
+each cell's edge counts exactly; deep levels therefore cost O(edges), not
+O(n C), and hold no V x C state.  Both sources give the same cells in the
+same order, so the same deltas to the bit.  line_terms sums the h-terms
+of a set of rows and columns, so a commit confined to them is booked
+exactly.  delta_acmi is the scalar
 reference: it re-evaluates the two rows and columns before and after the
-move, at most 8(C-1) log terms, and an optional counter counts them.
+move from the word's bank rows, at most 8(C-1) log terms, and an optional
+counter counts them.
 """
 
 from __future__ import annotations
@@ -34,18 +35,21 @@ import math
 
 import numpy as np
 
-from .bigram import ClassMatrix, ContextBank
+from .bigram import BigramStore, ClassMatrix, ContextBank
 from .errors import ConsistencyError, UndefinedObjectiveError
 
 # Improvement threshold: deltas in (-EPSILON, EPSILON] are non-improving,
 # so floating-point noise can never drive the search loops.
 EPSILON = 1e-12
 
-# batch_deltas reads context cells from the bigram edges once C * n exceeds
-# EDGE_FACTOR times the pair count.  The dense scan costs about C per word,
-# the edge cells about a sort of the words' edges; timed per level on
-# novel-znrp (V=503, 10 levels, final class ids) the edges win from
-# C * n near 3-5 times the pair count: 1.1-1.2x slower at 2.4, 0.85x at 4.6.
+# A level keeps a dense ContextBank, and batch_deltas reads context cells
+# from its rows, only while C * V is at most EDGE_FACTOR times the pair
+# count; above that the cells come from the bigram edges.  The factor is a
+# memory bound: a bank holds 2 * V * C int64 cells, so at most 64 bytes per
+# bigram pair.  The crossover of this per-level rule was not re-timed; 4
+# was first timed as a per-call rule (C * n against the pair count, with
+# the edge cells read back from a bank), where the edges won from 3-5
+# times the pair count on novel-znrp.
 EDGE_FACTOR = 4
 
 
@@ -238,91 +242,108 @@ def _check_counts(what: str, values: np.ndarray, owners: np.ndarray) -> None:
     if len(bad):
         raise ConsistencyError(
             f"negative post-move {what} count for word {int(owners[bad[0]])}; "
-            "context vectors are stale"
+            "its context counts do not match the matrix"
         )
+
+
+def _row_context(ctx: np.ndarray, words: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Off-corner context cells (k, j, x) of the words, from dense bank rows.
+
+    x > 0 is words[k]'s count at class j, for j other than a[k] and b[k];
+    the words' counts at a and b follow as two arrays.
+    """
+    k, j = np.nonzero(ctx[words])
+    keep = (j != a[k]) & (j != b[k])
+    k, j = k[keep], j[keep]
+    return k, j, ctx[words[k], j], ctx[words, a], ctx[words, b]
+
+
+def _edge_context(edges, words, assignment: np.ndarray, C: int, a: np.ndarray, b: np.ndarray):
+    """_row_context from the words' bigram edges and the class ids.
+
+    An edge feeds the cell of its neighbour's class.  Its count is packed
+    below its key (k, class) in one int64, which BigramStore bounds V and
+    the counts to fit, so one sort puts the cells in np.nonzero's row-major
+    order and each run of one key is one cell, whose counts sum exactly.
+    """
+    k, v, cnt = edges(words)
+    cb = (C - 1).bit_length()
+    bits = int(cnt.max(initial=0)).bit_length()
+    packed = (k << cb | assignment[v]) << bits | cnt
+    packed.sort()
+    key, cnt = packed >> bits, packed & ((1 << bits) - 1)
+    last = np.ones(len(key), dtype=bool)
+    last[:-1] = key[1:] != key[:-1]
+    end = np.flatnonzero(last)
+    x = np.diff(np.cumsum(cnt)[end], prepend=0)
+    key = key[end]
+    k, j = key >> cb, key & ((1 << cb) - 1)
+    at_a, at_b = j == a[k], j == b[k]
+    corners = []
+    for at in (at_a, at_b):
+        corner = np.zeros(len(words), dtype=np.int64)
+        corner[k[at]] = x[at]
+        corners.append(corner)
+    keep = ~(at_a | at_b)
+    return k[keep], j[keep], x[keep], *corners
 
 
 def batch_deltas(
-    matrix: ClassMatrix, bank: ContextBank, words: np.ndarray, frm: np.ndarray
+    matrix: ClassMatrix,
+    store: BigramStore,
+    assignment: np.ndarray,
+    words: np.ndarray,
+    frm: np.ndarray,
+    bank: ContextBank | None = None,
 ) -> np.ndarray:
     """Change in ACMI for moving each words[k] from frm[k] to its sibling frm[k]^1.
 
-    All moves are scored against the same matrix state, which is untouched.
-    With x = L[w, j] for each nonzero entry of w's left context row outside
-    columns a and b, word w moving a -> b changes T * ACMI by
+    words are distinct.  All moves are scored against the same matrix
+    state under the class ids `assignment`; neither is touched.  With
+    x = L[w, j] for each nonzero cell of w's left context outside columns
+    a and b, word w moving a -> b changes T * ACMI by
 
       sum of  h(N[a,j] - x) - h(N[a,j]) + h(N[b,j] + x) - h(N[b,j]),
-      the same over w's right context row in columns a and b,
+      the same over w's right context in columns a and b,
       the h-changes of the four corner cells,
       minus the h-changes of r[a], r[b], c[a], c[b].
 
-    The context cells come from the words' bigram edges when C * len(words)
-    exceeds EDGE_FACTOR times the number of bigram pairs, else from the
-    dense bank rows; both give the same cells in the same order, so the
-    same deltas.  Equals delta_acmi move for move to floating-point
-    rounding, and raises ConsistencyError where the bank no longer matches
-    the matrix.
+    The context cells, corners included, come from bank's dense rows when
+    a bank is given, else from the words' bigram edges; both give the same
+    cells in the same order, so the same deltas.  Equals delta_acmi move
+    for move to floating-point rounding, and raises ConsistencyError naming
+    the word where a post-move count would go negative, i.e. where the
+    context no longer matches the matrix.
     """
-    words = np.asarray(words, dtype=np.int64)
-    from_edges = matrix.C * len(words) > EDGE_FACTOR * len(bank.store.counts)
-    return _batch_deltas(matrix, bank, words, frm, from_edges)
-
-
-def _batch_deltas(
-    matrix: ClassMatrix,
-    bank: ContextBank,
-    words: np.ndarray,
-    frm: np.ndarray,
-    from_edges: bool,
-) -> np.ndarray:
-    """batch_deltas with its context cells read from the edges or not."""
     if matrix.T == 0:
         raise UndefinedObjectiveError("ACMI is undefined on an empty matrix (T = 0)")
+    words = np.asarray(words, dtype=np.int64)
     a = np.asarray(frm, dtype=np.int64)
     b = a ^ 1
-    store = bank.store
     N = matrix.counts
-    total = np.zeros(len(words), dtype=np.float64)
+    n = len(words)
+    total = np.zeros(n, dtype=np.float64)
 
     # off-corner cells: rows a and b at w's successor classes, then
     # columns a and b (rows of N.T) at w's predecessor classes
-    for ctx, lines, edges in (
-        (bank.left, N, store.succ_edges),
-        (bank.right, N.T, store.pred_edges),
+    corners = []
+    for lines, ctx, edges in (
+        (N, None if bank is None else bank.left, store.succ_edges),
+        (N.T, None if bank is None else bank.right, store.pred_edges),
     ):
-        if from_edges:
-            # an edge feeds the cell of its neighbour's class; sorting the
-            # keys k*C + class and keeping the first of each run gives
-            # np.nonzero's row-major order (np.unique would import numpy.ma)
-            k, v = edges(words)
-            keys = k * matrix.C + bank.assignment[v]
-            keys.sort()
-            first = np.ones(len(keys), dtype=bool)
-            first[1:] = keys[1:] != keys[:-1]
-            k, j = np.divmod(keys[first], matrix.C)
+        if ctx is None:
+            k, j, x, at_a, at_b = _edge_context(edges, words, assignment, matrix.C, a, b)
         else:
-            k, j = np.nonzero(ctx[words])
-        keep = (j != a[k]) & (j != b[k])
-        k, j = k[keep], j[keep]
-        x = ctx[words[k], j]
-        # an edge into a class where the bank holds nothing: the bank lags
-        # the class ids (np.nonzero cannot list such a cell)
-        if from_edges and not (x > 0).all():
-            raise ConsistencyError(
-                f"word {int(words[k[x <= 0][0]])} has a bigram into a class where "
-                "its context count is not positive; context vectors are stale"
-            )
+            k, j, x, at_a, at_b = _row_context(ctx, words, a, b)
+        corners += [at_a, at_b]
         na = lines[a[k], j]
         nb = lines[b[k], j]
         _check_counts("cell", na - x, words[k])
-        total += np.bincount(
-            k, _h(na - x) - _h(na) + _h(nb + x) - _h(nb), minlength=len(words)
-        )
+        total += np.bincount(k, _h(na - x) - _h(na) + _h(nb + x) - _h(nb), minlength=n)
 
     # corner cells; the (w,w) mass lands on (b,b)
+    La, Lb, Ra, Rb = corners
     f = store.self_count[words]
-    La, Lb = bank.left[words, a], bank.left[words, b]
-    Ra, Rb = bank.right[words, a], bank.right[words, b]
     for before, after in (
         (N[a, a], N[a, a] - La - Ra + f),
         (N[a, b], N[a, b] - Lb + Ra - f),

@@ -25,6 +25,13 @@ way over its one sibling pair, until the batch no longer sits below the
 step-start value.  acmi() runs only once at the start and once at the end
 of each level, the second time as the drift guard.
 
+Each level picks its per-word state once, when its ClusterState is built:
+the int32 class ids always, plus a dense ContextBank (2 x V x C counts)
+only while C * V is at most EDGE_FACTOR times the bigram pair count.
+Above that, scoring reads context cells from the bigram edges and no bank
+is allocated; every move reads the word's mass from its edges either way.
+cluster() drops each level's state before it builds the next.
+
 A word alone in its class rides down with bit 0 and stays alone: moves
 only cross sibling classes and a lone word is never eligible.  Its tag
 therefore ends at the first level where it is alone, which cluster()
@@ -44,7 +51,7 @@ import numpy as np
 from .bigram import MAX_CLASSES, MAX_LEVELS, BigramStore, ContextBank, apply_move, class_matrix
 from .corpus import Vocabulary
 from .errors import ConfigError, ConsistencyError, IngestionError
-from .objective import EPSILON, acmi, batch_deltas, line_terms
+from .objective import EDGE_FACTOR, EPSILON, acmi, batch_deltas, line_terms
 # not called here; perfbench/invoke.py wraps these on this module by name
 from .objective import delta_acmi, pair_before_sum  # noqa: F401
 
@@ -161,11 +168,11 @@ def init_level(
 
 
 class ClusterState:
-    """Mutable search state for one level: matrix, context bank, assignment.
+    """Mutable search state for one level: class ids, matrix, context bank.
 
     Single-writer: commits are serialized; scoring reads a consistent
     snapshot between commits.  moved lists the committed words in order.
-    The class ids live in the bank, which every move updates.
+    bank is None above the crossover C * V > EDGE_FACTOR * pairs.
     """
 
     def __init__(
@@ -179,8 +186,11 @@ class ClusterState:
     ):
         self.level = level
         self.C = 1 << level
-        self.matrix = class_matrix(store, assignment, self.C)
-        self.bank = ContextBank(store, assignment, self.C)
+        self.store = store
+        self.assignment = np.array(assignment, dtype=np.int32)
+        self.matrix = class_matrix(store, self.assignment, self.C)
+        dense = self.C * store.V <= EDGE_FACTOR * len(store.counts)
+        self.bank = ContextBank(store, self.assignment, self.C) if dense else None
         self.pinned_mask = (
             np.zeros(store.V, dtype=bool) if pinned_mask is None else pinned_mask
         )
@@ -189,10 +199,6 @@ class ClusterState:
         self.acmi = acmi(self.matrix)
         self.moved: list[int] = []
 
-    @property
-    def assignment(self) -> np.ndarray:
-        return self.bank.assignment
-
     def eligible_words(self) -> np.ndarray:
         """Unpinned words whose class still has company (movable)."""
         sizes = np.bincount(self.assignment, minlength=self.C)
@@ -200,8 +206,10 @@ class ClusterState:
         return np.nonzero(movable)[0]
 
     def _shift(self, w: int, frm: int, to: int) -> None:
-        apply_move(self.matrix, self.bank, w, frm, to)
-        self.bank.move(w, frm, to)
+        apply_move(self.matrix, self.store, self.assignment, w, frm, to)
+        if self.bank is not None:
+            self.bank.move(w, frm, to)
+        self.assignment[w] = to
 
     def commit(self, w: int, to: int) -> None:
         frm = int(self.assignment[w])
@@ -216,13 +224,15 @@ def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int, int]:
     """One search step: score every eligible move, commit the best of each group.
 
     The group is the parent class (frm >> 1) when per_parent, else all words
-    form one group.  Every move is scored against the matrix and context
-    vectors frozen at step start, so the selections are order-independent.
+    form one group.  Every move is scored against the matrix and class ids
+    frozen at step start, so the selections are order-independent.
     Returns (progressed, committed, retracted).
     """
     words = state.eligible_words()
     frm = state.assignment[words]
-    d = batch_deltas(state.matrix, state.bank, words, frm)
+    d = batch_deltas(
+        state.matrix, state.store, state.assignment, words, frm, state.bank
+    )
     group = frm >> 1 if per_parent else np.zeros_like(frm)
     # by group, then best delta, then lowest word id: the first row of
     # each group's run is its best candidate
@@ -340,6 +350,8 @@ def cluster(
         )
         stats.append(run_level(state, config.strategy))
         class_of = state.assignment
+        # the next level's matrix and bank are built without this one alive
+        del state
 
     # a tag ends at the first level where its word is alone, and not before
     # its pin path ends; a lone word's class never gains another word, so

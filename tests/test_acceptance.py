@@ -136,7 +136,7 @@ def test_criterion_1_and_2_delta_oracle_and_cost():
                 if counter.last_call > 8 * (C - 1):
                     over_budget += 1
                 after = ClassMatrix(C, matrix.counts.copy())
-                apply_move(after, bank, w, frm, to)
+                apply_move(after, store, assignment, w, frm, to)
                 worst = max(worst, abs(d - (acmi(after) - base)))
                 checked += 1
         assert over_budget == 0
@@ -153,15 +153,13 @@ def test_criterion_3_matrix_integrity():
     C = 16
     assignment = (assignment % C).astype(np.int32)
     matrix = class_matrix(store, assignment, C)
-    bank = ContextBank(store, assignment, C)
     for _ in range(10_000):
         w = int(rng.integers(0, store.V))
         frm = int(assignment[w])
         to = int(rng.integers(0, C))
         if to == frm:
             to = (to + 1) % C
-        apply_move(matrix, bank, w, frm, to)
-        bank.move(w, frm, to)
+        apply_move(matrix, store, assignment, w, frm, to)
         assignment[w] = to
     rebuilt = class_matrix(store, assignment, C)
     ok = (

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagsplit import (
+    BigramStore,
     ConsistencyError,
     ContextBank,
     apply_move,
@@ -59,6 +60,21 @@ class TestCountBigrams:
             assert {(w, v): c for w, v, c in got} == want
             assert store.T == sum(want.values())
 
+    def test_total_beyond_float64_exactness_rejected(self):
+        # per-word sums of counts go through float64, exact below 2**53
+        one = np.zeros(1, dtype=np.int64)
+        BigramStore(1, one, one, np.array([2**53 - 1]))
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            BigramStore(1, one, one, np.array([2**53]))
+
+    def test_count_too_wide_to_pack_rejected(self):
+        # (word, class, count) is sorted as one int64: V * MAX_CLASSES
+        # shifted by the widest count's bits must stay within 2**63
+        one = np.zeros(1, dtype=np.int64)
+        BigramStore(16, one, one, np.array([2**49 - 1]))
+        with pytest.raises(ValueError, match="63 bits"):
+            BigramStore(16, one, one, np.array([2**49]))
+
     def test_breaks_sever_pairs(self):
         store = count_bigrams(make_stream([0, 1, 0, 1], breaks=[2]), 2)
         assert pair_count(store, 1, 0) == 0
@@ -88,12 +104,14 @@ class TestCountBigrams:
         # repeats, any order, and words without bigrams
         words = np.concatenate((rng.integers(0, store.V, 25), [store.V - 1] * 2))
         for edges, lists in ((store.succ_edges, store.succ), (store.pred_edges, store.pred)):
-            k, v = edges(words)
+            k, v, c = edges(words)
             assert np.all(np.diff(k) >= 0)
             for i, w in enumerate(words):
-                assert np.array_equal(v[k == i], lists(int(w))[0])
-        k, v = store.succ_edges(np.zeros(0, dtype=np.int64))
-        assert len(k) == len(v) == 0
+                ids, cnts = lists(int(w))
+                assert np.array_equal(v[k == i], ids)
+                assert np.array_equal(c[k == i], cnts)
+        k, v, c = store.succ_edges(np.zeros(0, dtype=np.int64))
+        assert len(k) == len(v) == len(c) == 0
 
     def test_totals_per_word(self):
         stream, _, store = random_instance(3)
@@ -202,7 +220,7 @@ class TestApplyMove:
         assignment = np.array([0, 0, 0])
         m = class_matrix(store, assignment, 2)
         before = m.counts.copy()
-        apply_move(m, ContextBank(store, assignment, 2), 2, 0, 1)
+        apply_move(m, store, assignment, 2, 0, 1)
         assert np.array_equal(m.counts, before)
 
     def test_self_pair_mass_lands_once(self):
@@ -210,7 +228,7 @@ class TestApplyMove:
         store = count_bigrams(make_stream([0, 0, 0]), 2)
         assignment = np.array([0, 1])
         m = class_matrix(store, assignment, 2)
-        apply_move(m, ContextBank(store, assignment, 2), 0, 0, 1)
+        apply_move(m, store, assignment, 0, 0, 1)
         assert m.counts[0, 0] == 0
         assert m.counts[1, 1] == 2
         assert m.T == 2
@@ -220,7 +238,6 @@ class TestApplyMove:
         C = 8
         assignment = assignment % C
         m = class_matrix(store, assignment, C)
-        bank = ContextBank(store, assignment, C)
         rng = np.random.default_rng(99)
         for _ in range(1000):
             w = int(rng.integers(0, store.V))
@@ -228,8 +245,7 @@ class TestApplyMove:
             to = int(rng.integers(0, C))
             if to == frm:
                 to = (to + 1) % C
-            apply_move(m, bank, w, frm, to)
-            bank.move(w, frm, to)
+            apply_move(m, store, assignment, w, frm, to)
             assignment[w] = to
             rebuilt = class_matrix(store, assignment, C)
             assert np.array_equal(m.counts, rebuilt.counts)
@@ -241,28 +257,24 @@ class TestApplyMove:
         stream, assignment, store = random_instance(8, C=4)
         C = 4
         m = class_matrix(store, assignment, C)
-        bank = ContextBank(store, assignment, C)
         original = m.counts.copy()
         w = int(np.argmax(store.succ_total))
         frm = int(assignment[w])
         to = (frm + 1) % C
-        apply_move(m, bank, w, frm, to)
-        bank.move(w, frm, to)
+        apply_move(m, store, assignment, w, frm, to)
         assignment[w] = to
-        apply_move(m, bank, w, to, frm)
-        bank.move(w, to, frm)
+        apply_move(m, store, assignment, w, to, frm)
         assert np.array_equal(m.counts, original)
 
     def test_stale_context_detected(self):
         store = count_bigrams(make_stream([0, 1, 0, 1]), 2)
         assignment = np.array([0, 1])
         m = class_matrix(store, assignment, 2)
-        bank = ContextBank(store, assignment, 2)
-        apply_move(m, bank, 0, 0, 1)
-        # the same move again, bank unrepaired: word 0 no longer holds
-        # mass in class 0
+        apply_move(m, store, assignment, 0, 0, 1)
+        # the same move again, class ids not updated: word 0 no longer
+        # holds mass in class 0
         with pytest.raises(ConsistencyError):
-            apply_move(m, bank, 0, 0, 1)
+            apply_move(m, store, assignment, 0, 0, 1)
 
     def test_incremental_bank_matches_recompute(self):
         stream, assignment, store = random_instance(31, V=30, length=800, C=4)

@@ -111,7 +111,7 @@ class TestDeltaAcmi:
                         continue
                     d = delta_acmi(matrix, bank, w, frm, to)
                     after = ClassMatrix(C, matrix.counts.copy())
-                    apply_move(after, bank, w, frm, to)
+                    apply_move(after, store, assignment, w, frm, to)
                     assert d == pytest.approx(
                         acmi(after) - base, abs=1e-9 * max(1.0, abs(base))
                     )
@@ -157,7 +157,7 @@ class TestDeltaAcmi:
         assignment = np.array([0, 1])
         matrix = class_matrix(store, assignment, 2)
         bank = ContextBank(store, assignment, 2)
-        apply_move(matrix, bank, 0, 0, 1)
+        apply_move(matrix, store, assignment, 0, 0, 1)
         with pytest.raises(ConsistencyError):
             delta_acmi(matrix, bank, 0, 0, 1)
 
@@ -169,11 +169,36 @@ class TestDeltaAcmi:
         frm = int(assignment[w])
         to = (frm + 3) % 8
         d_fwd = delta_acmi(matrix, bank, w, frm, to)
-        apply_move(matrix, bank, w, frm, to)
+        apply_move(matrix, store, assignment, w, frm, to)
         bank.move(w, frm, to)
         assignment[w] = to
         d_back = delta_acmi(matrix, bank, w, to, frm)
         assert d_fwd + d_back == pytest.approx(0.0, abs=1e-10)
+
+
+class TestLineTerms:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_books_moves_within_sibling_pairs_exactly(self, seed):
+        # moves confined to the touched sibling pairs change ACMI by
+        # (after - before) / T; with seed % 3 == 0 the odd classes start
+        # empty, so marginals of 0 are counted
+        C = 2 << seed % 4
+        _, assignment, store = random_instance(seed, C=C)
+        if seed % 3 == 0:
+            assignment &= ~1
+        matrix = class_matrix(store, assignment, C)
+        rng = np.random.default_rng(seed)
+        parents = rng.choice(C // 2, int(rng.integers(1, C // 2 + 1)), replace=False)
+        touched = np.concatenate((2 * parents, 2 * parents + 1))
+        start = acmi(matrix)
+        before = objective.line_terms(matrix, touched)
+        for w in rng.permutation(store.V)[: store.V // 2]:
+            frm = int(assignment[w])
+            if frm >> 1 in parents:
+                apply_move(matrix, store, assignment, int(w), frm, frm ^ 1)
+                assignment[w] = frm ^ 1
+        change = objective.line_terms(matrix, touched) - before
+        assert change / matrix.T == pytest.approx(acmi(matrix) - start, abs=1e-12)
 
 
 def scalar_deltas(matrix, bank, words, frm):
@@ -181,6 +206,15 @@ def scalar_deltas(matrix, bank, words, frm):
         delta_acmi(matrix, bank, int(w), int(f), int(f) ^ 1)
         for w, f in zip(words, frm)
     ])
+
+
+def both_sources(matrix, store, assignment, words, frm):
+    """batch_deltas from the bigram edges and from dense bank rows; the two
+    must agree to the bit.  Returns the deltas and the oracle's bank."""
+    bank = ContextBank(store, assignment, matrix.C)
+    d = batch_deltas(matrix, store, assignment, words, frm)
+    assert np.array_equal(d, batch_deltas(matrix, store, assignment, words, frm, bank))
+    return d, bank
 
 
 class TestBatchDeltas:
@@ -196,10 +230,9 @@ class TestBatchDeltas:
             # class 1 empty: every word of the pair starts in class 0, as in znr
             assignment[assignment == 1] = 0
         matrix = class_matrix(store, assignment, C)
-        bank = ContextBank(store, assignment, C)
         words = np.arange(store.V)
         frm = assignment[words]
-        d = batch_deltas(matrix, bank, words, frm)
+        d, bank = both_sources(matrix, store, assignment, words, frm)
         assert np.allclose(d, scalar_deltas(matrix, bank, words, frm), rtol=0, atol=1e-9)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -209,7 +242,7 @@ class TestBatchDeltas:
         pick=st.integers(0, 2**32 - 1),
     )
     def test_strict_subset_of_eligible_words_matches_oracle(self, seed, C, pick):
-        # the kernel gathers only the scored words' context rows, in any order
+        # the kernel gathers only the scored words' context, in any order
         _, assignment, store = random_instance(seed, C=C)
         eligible = np.flatnonzero(np.bincount(assignment, minlength=C)[assignment] >= 2)
         if len(eligible) < 2:
@@ -217,9 +250,8 @@ class TestBatchDeltas:
         rng = np.random.default_rng(pick)
         words = rng.choice(eligible, int(rng.integers(1, len(eligible))), replace=False)
         matrix = class_matrix(store, assignment, C)
-        bank = ContextBank(store, assignment, C)
         frm = assignment[words]
-        d = batch_deltas(matrix, bank, words, frm)
+        d, bank = both_sources(matrix, store, assignment, words, frm)
         assert np.allclose(d, scalar_deltas(matrix, bank, words, frm), rtol=0, atol=1e-9)
 
     def test_self_bigrams_and_unseen_word(self):
@@ -229,9 +261,8 @@ class TestBatchDeltas:
         for assignment in ([0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 1, 1]):
             assignment = np.array(assignment)
             matrix = class_matrix(store, assignment, 2)
-            bank = ContextBank(store, assignment, 2)
             words = np.arange(4)
-            d = batch_deltas(matrix, bank, words, assignment)
+            d, bank = both_sources(matrix, store, assignment, words, assignment)
             assert np.allclose(
                 d, scalar_deltas(matrix, bank, words, assignment), rtol=0, atol=1e-12
             )
@@ -240,23 +271,24 @@ class TestBatchDeltas:
     def test_selected_subset_scored_in_place(self):
         _, assignment, store = random_instance(21, C=8)
         matrix = class_matrix(store, assignment, 8)
-        bank = ContextBank(store, assignment, 8)
         words = np.arange(store.V)
-        full = batch_deltas(matrix, bank, words, assignment)
+        full, _ = both_sources(matrix, store, assignment, words, assignment)
         subset = words[1::3]
-        part = batch_deltas(matrix, bank, subset, assignment[subset])
+        part, _ = both_sources(matrix, store, assignment, subset, assignment[subset])
         assert np.allclose(part, full[1::3], rtol=0, atol=1e-12)
-        assert batch_deltas(matrix, bank, words[:0], assignment[:0]).shape == (0,)
+        empty, _ = both_sources(matrix, store, assignment, words[:0], assignment[:0])
+        assert empty.shape == (0,)
 
     def test_stale_bank_detected(self):
-        # the matrix already holds word 0's move; the bank does not
+        # the matrix already holds word 0's move; the bank and class ids do not
         store = count_bigrams(make_stream([0, 1, 0, 1]), 2)
         assignment = np.array([0, 1])
         matrix = class_matrix(store, assignment, 2)
         bank = ContextBank(store, assignment, 2)
-        apply_move(matrix, bank, 0, 0, 1)
-        with pytest.raises(ConsistencyError):
-            batch_deltas(matrix, bank, np.array([0]), np.array([0]))
+        apply_move(matrix, store, assignment, 0, 0, 1)
+        for source in (bank, None):
+            with pytest.raises(ConsistencyError):
+                batch_deltas(matrix, store, assignment, np.array([0]), np.array([0]), source)
 
     def test_stale_off_corner_cell_detected(self):
         # C=4: word 0's successors sit in class 2, off the (0,1) corners
@@ -266,65 +298,64 @@ class TestBatchDeltas:
         bank = ContextBank(store, assignment, 4)
         matrix.counts[0, 2] -= 1
         with pytest.raises(ConsistencyError, match="word 0"):
-            batch_deltas(matrix, bank, np.array([1, 0]), np.array([1, 0]))
+            batch_deltas(matrix, store, assignment, np.array([1, 0]), np.array([1, 0]), bank)
 
 
 class TestContextCellBranches:
-    """batch_deltas lists context cells from the dense bank rows or, when
-    C * n is more than EDGE_FACTOR times the pair count, from the bigram
-    edges; the two branches must give bit-identical deltas."""
+    """batch_deltas lists context cells from dense bank rows at the levels
+    that keep a bank and from the bigram edges and class ids at the levels
+    that do not; the two must give bit-identical deltas.  A ContextBank is
+    built here only as the dense branch's and the oracle's input."""
 
     def _moved_instance(self, seed, C):
-        # a bank that has followed some moves, so the edges go through
-        # class ids that ContextBank.move updated
+        # class ids and a matrix that have followed some moves
         _, assignment, store = random_instance(seed, V=40, length=600, C=C)
         matrix = class_matrix(store, assignment, C)
-        bank = ContextBank(store, assignment, C)
         rng = np.random.default_rng(seed)
         for w in rng.integers(0, store.V, 15):
-            frm = int(bank.assignment[w])
-            apply_move(matrix, bank, int(w), frm, frm ^ 1)
-            bank.move(int(w), frm, frm ^ 1)
-        return store, matrix, bank
+            frm = int(assignment[w])
+            apply_move(matrix, store, assignment, int(w), frm, frm ^ 1)
+            assignment[w] = frm ^ 1
+        return store, assignment, matrix
 
     @pytest.mark.parametrize("C", [2, 4, 64, 256, 1024])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_branches_agree_exactly(self, seed, C, monkeypatch):
-        store, matrix, bank = self._moved_instance(100 + seed, C)
+    def test_branches_agree_exactly(self, seed, C):
+        store, assignment, matrix = self._moved_instance(100 + seed, C)
         words = np.arange(store.V)
-        frm = bank.assignment[words]
-        dense = objective._batch_deltas(matrix, bank, words, frm, False)
-        edges = objective._batch_deltas(matrix, bank, words, frm, True)
-        assert np.array_equal(dense, edges)
-        picked = []
-        inner = objective._batch_deltas
-        monkeypatch.setattr(
-            objective,
-            "_batch_deltas",
-            lambda *args: picked.append(args[-1]) or inner(*args),
-        )
-        assert np.array_equal(batch_deltas(matrix, bank, words, frm), dense)
-        # batch_deltas's switch rule picks the edges exactly at the large C
-        assert picked == [C >= 64]
-        assert np.allclose(dense, scalar_deltas(matrix, bank, words, frm), rtol=0, atol=1e-9)
+        frm = assignment[words]
+        d, bank = both_sources(matrix, store, assignment, words, frm)
+        assert np.allclose(d, scalar_deltas(matrix, bank, words, frm), rtol=0, atol=1e-9)
         part = words[::3]
-        assert np.array_equal(
-            objective._batch_deltas(matrix, bank, part, frm[part], True), dense[::3]
-        )
+        assert np.array_equal(batch_deltas(matrix, store, assignment, part, frm[part]), d[::3])
 
-    def test_stale_edge_cell_detected(self):
-        # word 0's successor word 2 sits in class 2; the bank's class ids
-        # move it to class 3 without repairing the counts, so the edge
-        # points at a cell where the bank holds 0
+    def test_wide_counts_sum_exactly(self):
+        # distinct counts of 48 bits at C=1024, the widest that 20 words
+        # leave room for below (word, class): each edge cell's counts still
+        # sum exactly, as the dense bank rows hold them
+        _, assignment, store = random_instance(7, V=20, length=14, C=1024)
+        counts = np.random.default_rng(7).integers(2**47, 2**48, len(store.counts))
+        store = BigramStore(store.V, store.left, store.right, counts)
+        matrix = class_matrix(store, assignment, 1024)
+        words = np.arange(store.V)
+        d, bank = both_sources(matrix, store, assignment, words, assignment)
+        assert np.allclose(d, scalar_deltas(matrix, bank, words, assignment), rtol=0, atol=1e-9)
+
+    def test_corrupt_cell_detected_without_bank(self):
+        # C=4: word 0's successors sit in class 2, off the (0,1) corners;
+        # with one bigram gone from that cell of the matrix, the edges list
+        # more mass than the cell holds
         store = count_bigrams(make_stream([0, 2, 0, 2, 1, 3]), 4)
         assignment = np.array([0, 1, 2, 3])
         matrix = class_matrix(store, assignment, 4)
-        bank = ContextBank(store, assignment, 4)
         words, frm = np.array([1, 0]), np.array([1, 0])
-        bank.assignment[2] = 3
+        matrix.counts[0, 2] -= 1
         with pytest.raises(ConsistencyError, match="word 0"):
-            objective._batch_deltas(matrix, bank, words, frm, True)
-        bank.assignment[2] = 2
-        bank.left[0, 2] = -1
-        with pytest.raises(ConsistencyError, match="word 0"):
-            objective._batch_deltas(matrix, bank, words, frm, True)
+            batch_deltas(matrix, store, assignment, words, frm)
+        # a corner: word 0 -> word 1 twice, both in class 0
+        store = count_bigrams(make_stream([0, 1, 0, 1]), 2)
+        assignment = np.array([0, 0])
+        matrix = class_matrix(store, assignment, 2)
+        matrix.counts[0, 0] -= 2
+        with pytest.raises(ConsistencyError, match="corner count for word 0"):
+            batch_deltas(matrix, store, assignment, np.array([0]), np.array([0]))

@@ -10,11 +10,13 @@ from tagsplit import (
     EPSILON,
     ClusterConfig,
     ClusterState,
+    ContextBank,
     ConfigError,
     ConsistencyError,
     IngestionError,
     acmi,
     build_vocabulary,
+    class_matrix,
     cluster,
     count_bigrams,
     delta_acmi,
@@ -23,6 +25,7 @@ from tagsplit import (
     run_level,
 )
 from tagsplit import splitter
+from tagsplit.objective import EDGE_FACTOR
 from tagsplit.synth import markov_text
 from conftest import (
     acmi_oracle,
@@ -187,29 +190,92 @@ class TestCommitRetract:
         m, bank = state.matrix, state.bank
 
         def snapshot():
-            return [a.copy() for a in (
-                m.counts, m.row, m.col, bank.left, bank.right, state.assignment
-            )]
+            rows = () if bank is None else (bank.left, bank.right)
+            return [a.copy() for a in (m.counts, m.row, m.col, state.assignment, *rows)]
 
         before = snapshot()
         frm = int(state.assignment[w])
         state.commit(w, frm ^ 1)
         assert state.moved == [w]
-        for v in range(store.V):
-            fresh = context_vectors(store, state.assignment, v, C)
-            assert np.array_equal(bank.left[v], fresh.left)
-            assert np.array_equal(bank.right[v], fresh.right)
+        assert state.assignment[w] == frm ^ 1
+        assert np.array_equal(m.counts, class_matrix(store, state.assignment, C).counts)
+        if bank is not None:
+            for v in range(store.V):
+                fresh = context_vectors(store, state.assignment, v, C)
+                assert np.array_equal(bank.left[v], fresh.left)
+                assert np.array_equal(bank.right[v], fresh.right)
         state.retract(w, frm)
         for old, new in zip(before, snapshot()):
             assert np.array_equal(old, new)
+
+    @pytest.mark.parametrize("level", [1, 3, 5, 7, 10])
+    def test_move_sequences_match_rebuild(self, level):
+        # V=60 and about 1,000 pairs put the crossover between levels 6
+        # and 7 (C * V against EDGE_FACTOR * pairs), so both kinds of
+        # level are covered
+        C = 1 << level
+        _, assignment, store = random_instance(40 + level, V=60, length=1500, C=C)
+        state = ClusterState(store, assignment, level)
+        assert (state.bank is None) == (level >= 7)
+        rng = np.random.default_rng(level)
+        for step in range(300):
+            w = int(rng.integers(0, store.V))
+            frm = int(state.assignment[w])
+            if step % 3:
+                state.commit(w, frm ^ 1)
+            else:
+                state.retract(w, (frm + int(rng.integers(1, C))) % C if C > 2 else frm ^ 1)
+            rebuilt = class_matrix(store, state.assignment, C)
+            assert np.array_equal(state.matrix.counts, rebuilt.counts)
+            assert np.array_equal(state.matrix.row, rebuilt.row)
+            assert np.array_equal(state.matrix.col, rebuilt.col)
+        if state.bank is not None:
+            fresh = ContextBank(store, state.assignment, C)
+            assert np.array_equal(state.bank.left, fresh.left)
+            assert np.array_equal(state.bank.right, fresh.right)
+
+
+class TestContextBankChoice:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bank_exactly_below_the_crossover(self, seed):
+        _, assignment, store = random_instance(seed, C=2)
+        for level in range(1, 11):
+            state = ClusterState(store, assignment, level)
+            dense = (1 << level) * store.V <= EDGE_FACTOR * len(store.counts)
+            assert (state.bank is not None) == dense
+            if dense:
+                assert state.bank.left.shape == state.bank.right.shape == (store.V, 1 << level)
+
+    def test_no_bank_allocated_above_the_crossover(self, monkeypatch):
+        # every ContextBank a run builds, by class count
+        vocab, stream = build_vocabulary(
+            markov_text(20_000, n_types=10_000, n_states=24, seed=7), 200
+        )
+        store = count_bigrams(stream, vocab.size)
+        built = []
+        init = ContextBank.__init__
+
+        def counted(bank, store, assignment, C):
+            built.append(C)
+            init(bank, store, assignment, C)
+
+        monkeypatch.setattr(ContextBank, "__init__", counted)
+        cluster(vocab, store, ClusterConfig(strategy="znrp", levels=10))
+        dense = [
+            1 << level for level in range(1, 11)
+            if (1 << level) * store.V <= EDGE_FACTOR * len(store.counts)
+        ]
+        assert built == dense
+        assert 0 < len(dense) < 10
 
 
 def reference_deltas(state):
     """Scalar delta_acmi for every eligible word, in word order."""
     words = state.eligible_words()
+    bank = ContextBank(state.store, state.assignment, state.C)
     return words, np.array([
         delta_acmi(
-            state.matrix, state.bank, int(w),
+            state.matrix, bank, int(w),
             int(state.assignment[w]), int(state.assignment[w]) ^ 1,
         )
         for w in words
@@ -272,6 +338,33 @@ class TestSearchSelection:
             state = ClusterState(store, np.array([0, 0]), 1)
             run_level(state, strategy)
             assert state.moved[0] == 0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_group_pick_on_planted_ties(self, seed, monkeypatch):
+        # deltas drawn from a few values, so the best one is shared by
+        # several words; with one group (znr, m, and znrp at level 1) the
+        # pick is the best delta, then the lowest word id
+        rng = np.random.default_rng(seed)
+        planted = {}
+
+        def tied(matrix, store, assignment, words, frm, bank=None):
+            d = rng.choice([-1e-3, 0.0, 2e-3, 5e-3], len(words))
+            planted["words"], planted["d"] = words, d
+            return d
+
+        monkeypatch.setattr(splitter, "batch_deltas", tied)
+        checked = 0
+        for state in search_states():
+            per_parent = state.level == 1 and seed % 2 == 1
+            for _ in range(5):
+                n_moves = len(state.moved)
+                splitter._iteration(state, per_parent)
+                words, d = planted["words"], planted["d"]
+                best = d.max()
+                expected = [int(words[d == best].min())] if best > EPSILON else []
+                assert state.moved[n_moves:] == expected
+                checked += int(np.sum(d == d.max()) > 1)
+        assert checked >= 50
 
     def test_zero_delta_is_not_a_move(self):
         # word 12 never occurs, so moving it scores exactly 0: once the
@@ -356,12 +449,12 @@ class TestSearchSelection:
         kernel = splitter.batch_deltas
         calls = []
 
-        def spy(matrix, bank, words, frm):
+        def spy(matrix, store, assignment, words, frm, bank):
             sizes = np.bincount(state.assignment, minlength=state.C)
             calls.append(words.tolist())
             assert not pinned[words].any()
             assert (sizes[state.assignment[words]] >= 2).all()
-            return kernel(matrix, bank, words, frm)
+            return kernel(matrix, store, assignment, words, frm, bank)
 
         monkeypatch.setattr(splitter, "batch_deltas", spy)
         for strategy in ("znr", "znrp"):
