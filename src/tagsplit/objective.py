@@ -16,17 +16,21 @@ the matrix, and within them only the cells where the word's context is
 nonzero, plus the four corner cells and four marginals.  batch_deltas
 scores every candidate move of a search pass at once on that identity: 4
 h-terms per nonzero off-corner context cell plus 16 for the corners and
-marginals, in one vectorised pass.  It lists the n scored words' nonzero
-context cells from their dense ContextBank rows when the level keeps a
-bank, and otherwise from their bigram edges and the class ids, summing
-each cell's edge counts exactly; deep levels therefore cost O(edges), not
-O(n C), and hold no V x C state.  Both sources give the same cells in the
-same order, so the same deltas to the bit.  line_terms sums the h-terms
-of a set of rows and columns, so a commit confined to them is booked
-exactly.  delta_acmi is the scalar
-reference: it re-evaluates the two rows and columns before and after the
-move from the word's bank rows, at most 8(C-1) log terms, and an optional
-counter counts them.
+marginals.  Every count whose h-term a move changes goes into one array,
+which is checked for negative post-move counts in the order successor
+cells, predecessor cells, corners, and passed through h once; views of it
+are then summed per word, so a search step costs a small, fixed number
+of numpy calls whatever the number of words.  It lists the n scored
+words' nonzero context cells from their dense ContextBank rows when the
+level keeps a bank, and otherwise from their bigram edges and the class
+ids, summing each cell's edge counts exactly; deep levels therefore cost
+O(edges), not O(n C), and hold no V x C state.  Both sources give the
+same cells in the same order, so the same deltas to the bit.  line_terms
+sums the h-terms of a set of rows and columns, so a commit confined to
+them is booked exactly.  delta_acmi is the scalar reference: it
+re-evaluates the two rows and columns before and after the move from the
+word's bank rows, at most 8(C-1) log terms, and an optional counter
+counts them.
 """
 
 from __future__ import annotations
@@ -46,10 +50,14 @@ EPSILON = 1e-12
 # from its rows, only while C * V is at most EDGE_FACTOR times the pair
 # count; above that the cells come from the bigram edges.  The factor is a
 # memory bound: a bank holds 2 * V * C int64 cells, so at most 64 bytes per
-# bigram pair.  The crossover of this per-level rule was not re-timed; 4
-# was first timed as a per-call rule (C * n against the pair count, with
-# the edge cells read back from a bank), where the edges won from 3-5
-# times the pair count on novel-znrp.
+# bigram pair.  Timed per level on the final class ids of the novel
+# benchmark runs (2-vCPU x86 host, numpy 2.4.6, median of 7 alternating
+# rounds), edge time over bank time is, by C * V / pairs:
+#   znrp, V=503:  2.53 -> 1.34,  5.06 -> 1.04,  10.1 -> 0.70,  20.2 -> 0.42
+#   znr,  V=253:  2.26 -> 1.44,  4.52 -> 1.13,  9.05 -> 0.87,  18.1 -> 0.66
+# so the rows stay faster up to about 5-7 times the pair count, and at
+# factor 4 the first edge level (C * V near 5 times the pairs) pays 4-13%
+# over a bank for not holding one.
 EDGE_FACTOR = 4
 
 
@@ -237,25 +245,20 @@ def line_terms(matrix: ClassMatrix, classes: np.ndarray) -> float:
     return s
 
 
-def _check_counts(what: str, values: np.ndarray, owners: np.ndarray) -> None:
-    bad = np.flatnonzero(values < 0)
-    if len(bad):
-        raise ConsistencyError(
-            f"negative post-move {what} count for word {int(owners[bad[0]])}; "
-            "its context counts do not match the matrix"
-        )
-
-
 def _row_context(ctx: np.ndarray, words: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Off-corner context cells (k, j, x) of the words, from dense bank rows.
 
     x > 0 is words[k]'s count at class j, for j other than a[k] and b[k];
-    the words' counts at a and b follow as two arrays.
+    the words' counts at a and b follow as two arrays.  The corners are
+    read from, and zeroed in, the gathered copy of the rows, never in ctx.
     """
-    k, j = np.nonzero(ctx[words])
-    keep = (j != a[k]) & (j != b[k])
-    k, j = k[keep], j[keep]
-    return k, j, ctx[words[k], j], ctx[words, a], ctx[words, b]
+    rows = ctx[words]
+    r = np.arange(len(words))
+    at_a, at_b = rows[r, a], rows[r, b]
+    rows[r, a] = 0
+    rows[r, b] = 0
+    k, j = np.nonzero(rows)
+    return k, j, rows[k, j], at_a, at_b
 
 
 def _edge_context(edges, words, assignment: np.ndarray, C: int, a: np.ndarray, b: np.ndarray):
@@ -272,11 +275,11 @@ def _edge_context(edges, words, assignment: np.ndarray, C: int, a: np.ndarray, b
     packed = (k << cb | assignment[v]) << bits | cnt
     packed.sort()
     key, cnt = packed >> bits, packed & ((1 << bits) - 1)
-    last = np.ones(len(key), dtype=bool)
-    last[:-1] = key[1:] != key[:-1]
-    end = np.flatnonzero(last)
-    x = np.diff(np.cumsum(cnt)[end], prepend=0)
-    key = key[end]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    start = np.flatnonzero(first)
+    x = np.add.reduceat(cnt, start)
+    key = key[start]
     k, j = key >> cb, key & ((1 << cb) - 1)
     at_a, at_b = j == a[k], j == b[k]
     corners = []
@@ -310,10 +313,13 @@ def batch_deltas(
 
     The context cells, corners included, come from bank's dense rows when
     a bank is given, else from the words' bigram edges; both give the same
-    cells in the same order, so the same deltas.  Equals delta_acmi move
-    for move to floating-point rounding, and raises ConsistencyError naming
-    the word where a post-move count would go negative, i.e. where the
-    context no longer matches the matrix.
+    cells in the same order, so the same deltas.  Every count whose h-term
+    a move changes goes into one array and through one h pass; the terms
+    are then summed per word in the order above.  Equals delta_acmi move
+    for move to floating-point rounding.  Where a post-move count would go
+    negative, i.e. where the context no longer matches the matrix, raises
+    ConsistencyError naming the word of the first such count, taken in the
+    order successor cells, predecessor cells, corners.
     """
     if matrix.T == 0:
         raise UndefinedObjectiveError("ACMI is undefined on an empty matrix (T = 0)")
@@ -322,11 +328,10 @@ def batch_deltas(
     b = a ^ 1
     N = matrix.counts
     n = len(words)
-    total = np.zeros(n, dtype=np.float64)
 
     # off-corner cells: rows a and b at w's successor classes, then
     # columns a and b (rows of N.T) at w's predecessor classes
-    corners = []
+    sides = []
     for lines, ctx, edges in (
         (N, None if bank is None else bank.left, store.succ_edges),
         (N.T, None if bank is None else bank.right, store.pred_edges),
@@ -335,29 +340,49 @@ def batch_deltas(
             k, j, x, at_a, at_b = _edge_context(edges, words, assignment, matrix.C, a, b)
         else:
             k, j, x, at_a, at_b = _row_context(ctx, words, a, b)
-        corners += [at_a, at_b]
-        na = lines[a[k], j]
-        nb = lines[b[k], j]
-        _check_counts("cell", na - x, words[k])
-        total += np.bincount(k, _h(na - x) - _h(na) + _h(nb + x) - _h(nb), minlength=n)
+        sides.append((k, x, lines[a[k], j], lines[b[k], j], at_a, at_b))
+    (k1, x1, na1, nb1, La, Lb), (k2, x2, na2, nb2, Ra, Rb) = sides
+    m1, m = len(k1), len(k1) + len(k2)
 
-    # corner cells; the (w,w) mass lands on (b,b)
-    La, Lb, Ra, Rb = corners
     f = store.self_count[words]
-    for before, after in (
-        (N[a, a], N[a, a] - La - Ra + f),
-        (N[a, b], N[a, b] - Lb + Ra - f),
-        (N[b, a], N[b, a] + La - Rb - f),
-        (N[b, b], N[b, b] + Lb + Rb + f),
-    ):
-        _check_counts("corner", after, words)
-        total += _h(after) - _h(before)
+    aa, ab, ba, bb = N[a, a], N[a, b], N[b, a], N[b, b]
+    sL, sR = store.succ_total[words], store.pred_total[words]
+    ra, rb, ca, cb = matrix.row[a], matrix.row[b], matrix.col[a], matrix.col[b]
+    counts = np.concatenate((
+        # post-move counts in line a, then corners; the (w,w) mass lands on (b,b)
+        na1 - x1, na2 - x2,
+        aa - La - Ra + f, ab - Lb + Ra - f, ba + La - Rb - f, bb + Lb + Rb + f,
+        # their pre-move counts
+        na1, na2, aa, ab, ba, bb,
+        # line b after and before
+        nb1 + x1, nb2 + x2, nb1, nb2,
+        # marginals: w's successor mass leaves row a for row b, its
+        # predecessor mass column a for column b
+        ra - sL, ca - sR, ra, ca, rb + sL, cb + sR, rb, cb,
+    ))
+    p = m + 4 * n
+    if counts[:p].min(initial=0) < 0:
+        bad = int(np.flatnonzero(counts[:p] < 0)[0])
+        if bad < m:
+            what, owner = "cell", np.concatenate((k1, k2))[bad]
+        else:
+            what, owner = "corner", (bad - m) % n
+        raise ConsistencyError(
+            f"negative post-move {what} count for word {int(words[owner])}; "
+            "its context counts do not match the matrix"
+        )
 
-    # marginals: w's successor mass leaves row a for row b, its
-    # predecessor mass column a for column b
-    for marg, moved in (
-        (matrix.row, store.succ_total[words]),
-        (matrix.col, store.pred_total[words]),
-    ):
-        total -= _h(marg[a] - moved) - _h(marg[a]) + _h(marg[b] + moved) - _h(marg[b])
+    h = _h(counts)
+    # after minus before: line a's cells, then the corners
+    d = h[:p] - h[p:2 * p]
+    cells = d[:m] + h[2 * p:2 * p + m] - h[2 * p + m:2 * (p + m)]
+    # float zeros first: np.bincount over no cells returns int64
+    total = np.zeros(n, dtype=np.float64)
+    total += np.bincount(k1, cells[:m1], minlength=n)
+    total += np.bincount(k2, cells[m1:], minlength=n)
+    for corner in d[m:].reshape(4, n):
+        total += corner
+    hm = h[2 * (p + m):].reshape(4, 2, n)
+    for marg in hm[0] - hm[1] + hm[2] - hm[3]:  # rows, then columns
+        total -= marg
     return total / float(matrix.T)

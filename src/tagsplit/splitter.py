@@ -237,7 +237,10 @@ def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int, int]:
     # by group, then best delta, then lowest word id: the first row of
     # each group's run is its best candidate
     order = np.lexsort((words, -d, group))
-    best = order[np.diff(group[order], prepend=-1) != 0]
+    g = group[order]
+    first = np.ones(len(g), dtype=bool)
+    first[1:] = g[1:] != g[:-1]
+    best = order[first]
     best = best[d[best] > state.epsilon]
     if not len(best):
         return False, 0, 0

@@ -301,6 +301,55 @@ class TestBatchDeltas:
             batch_deltas(matrix, store, assignment, np.array([1, 0]), np.array([1, 0]), bank)
 
 
+    @pytest.mark.parametrize("C", [2, 64])
+    @pytest.mark.parametrize("with_bank", [False, True])
+    def test_state_is_read_only(self, C, with_bank):
+        # the corners are zeroed in a gathered copy of the bank rows, never
+        # in the bank itself
+        _, assignment, store = random_instance(5, V=40, length=800, C=C)
+        matrix = class_matrix(store, assignment, C)
+        bank = ContextBank(store, assignment, C)
+        state = (matrix.counts, matrix.row, matrix.col, bank.left, bank.right, assignment)
+        snapshot = [x.copy() for x in state]
+        words = np.arange(store.V)
+        batch_deltas(
+            matrix, store, assignment, words, assignment[words], bank if with_bank else None
+        )
+        for now, before in zip(state, snapshot):
+            assert np.array_equal(now, before)
+
+    def test_error_names_first_word_in_check_order(self):
+        # the first negative post-move count, taken over successor cells,
+        # then predecessor cells, then corners, names the word, whatever
+        # the order of the scored words
+        # (1) word 2's predecessor cell and word 0's successor cell, both
+        # at N[0, 2]: the successor cell wins
+        store = count_bigrams(make_stream([0, 2, 0, 2]), 4)
+        assignment = np.array([0, 1, 2, 3])
+        matrix = class_matrix(store, assignment, 4)
+        matrix.counts[0, 2] -= 1
+        bank = ContextBank(store, assignment, 4)
+        words = np.array([2, 0])
+        for source in (bank, None):
+            with pytest.raises(ConsistencyError, match=r"cell count for word 0;"):
+                batch_deltas(matrix, store, assignment, words, assignment[words], source)
+        # (2) word 4's corner (2, 3) and word 0's predecessor cell N[2, 0]:
+        # the predecessor cell wins
+        store = count_bigrams(make_stream([0, 2, 0, 2, 4, 5], breaks=[4]), 6)
+        assignment = np.array([0, 1, 2, 3, 2, 3])
+        matrix = class_matrix(store, assignment, 4)
+        matrix.counts[2, 0] -= 1
+        matrix.counts[2, 3] -= 1
+        bank = ContextBank(store, assignment, 4)
+        words = np.array([4, 0])
+        for source in (bank, None):
+            with pytest.raises(ConsistencyError, match=r"cell count for word 0;"):
+                batch_deltas(matrix, store, assignment, words, assignment[words], source)
+            # word 4 alone: its corner is named as a corner
+            with pytest.raises(ConsistencyError, match=r"corner count for word 4;"):
+                batch_deltas(matrix, store, assignment, words[:1], np.array([2]), source)
+
+
 class TestContextCellBranches:
     """batch_deltas lists context cells from dense bank rows at the levels
     that keep a bank and from the bigram edges and class ids at the levels
