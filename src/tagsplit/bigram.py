@@ -6,7 +6,8 @@ pred_edges list those of a set of words at once).  ClassMatrix is the
 C x C table of bigram counts by (left class, right class) with row/column
 marginals; moving one word between classes touches only two rows and two
 columns, so the matrix is maintained incrementally (apply_move, which reads
-the word's class-context counts from its edges and the class ids) and kept
+the word's class-context counts from its ContextBank rows, or from its
+edges and the class ids where the level keeps no bank) and kept
 bit-identical to a from-scratch rebuild.  ContextBank caches those counts
 densely, V x C per side, for the levels whose scorer reads them by row;
 deep levels build none, and the int32 class ids are their only per-word
@@ -147,10 +148,17 @@ class ContextBank:
     def __init__(self, store: BigramStore, assignment: np.ndarray, C: int):
         self.store = store
         a = np.asarray(assignment)
-        self.left = np.zeros((store.V, C), dtype=np.int64)
-        np.add.at(self.left, (store.left, a[store.right]), store.counts)
-        self.right = np.zeros((store.V, C), dtype=np.int64)
-        np.add.at(self.right, (store.right, a[store.left]), store.counts)
+        V = store.V
+
+        def tally(word: np.ndarray, neighbour: np.ndarray) -> np.ndarray:
+            # one bincount keyed word * C + class; its float64 sums are
+            # exact, as every count totals at most T < 2**53
+            key = word * C + a[neighbour]
+            cells = np.bincount(key, store.counts, minlength=V * C)
+            return cells.astype(np.int64).reshape(V, C)
+
+        self.left = tally(store.left, store.right)
+        self.right = tally(store.right, store.left)
 
     def move(self, w: int, frm: int, to: int) -> None:
         """Repair w's neighbours' rows for its move frm -> to."""
@@ -169,24 +177,30 @@ def apply_move(
     w: int,
     frm: int,
     to: int,
-) -> None:
+    bank: ContextBank | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Shift word w's bigram mass from class frm to class to, in place.
 
-    w's row and column mass per class are read from its edges under
-    `assignment`, the class ids before the move (w still in frm), in
-    O(degree + C).  Equivalent to deleting the word's mass under frm and
-    re-inserting it under to; the result is integer-identical to a
-    from-scratch rebuild under the post-move assignment.  The caller then
-    sets assignment[w] = to.
+    w's row and column mass per class, L and R, are read from bank's rows
+    when a bank is given, else from its edges under `assignment`, the
+    class ids before the move (w still in frm), in O(degree + C); both
+    give the same counts.  Equivalent to deleting the word's mass under
+    frm and re-inserting it under to; the result is integer-identical to
+    a from-scratch rebuild under the post-move assignment.  Returns
+    (L, R), views of bank's rows when a bank is given, so read them
+    before bank.move.  The caller then sets assignment[w] = to.
     """
     if frm == to:
         raise ValueError("apply_move requires frm != to")
     N = matrix.counts
-    # float64 bincount sums are exact: a word's counts total at most T < 2**53
-    ids, cnts = store.succ(w)
-    L = np.bincount(assignment[ids], cnts, minlength=matrix.C).astype(np.int64)
-    ids, cnts = store.pred(w)
-    R = np.bincount(assignment[ids], cnts, minlength=matrix.C).astype(np.int64)
+    if bank is not None:
+        L, R = bank.left[w], bank.right[w]
+    else:
+        # float64 bincount sums are exact: a word's counts total at most T < 2**53
+        ids, cnts = store.succ(w)
+        L = np.bincount(assignment[ids], cnts, minlength=matrix.C).astype(np.int64)
+        ids, cnts = store.pred(w)
+        R = np.bincount(assignment[ids], cnts, minlength=matrix.C).astype(np.int64)
     f = store.self_count[w]
     N[frm, :] -= L
     N[to, :] += L
@@ -213,3 +227,4 @@ def apply_move(
             f"apply_move drove a count negative (word {w}, {frm}->{to}); "
             "the class ids do not match the matrix"
         )
+    return L, R

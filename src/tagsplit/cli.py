@@ -5,7 +5,8 @@ per-level stats and benchmark results as CSV, all written by write_table
 and read by read_table (UTF-8, LF endings, an exact header row, reals at
 12 significant digits, no first field repeated, errors naming path:line),
 and a JSON run manifest beside every output whose config is the parsed
-arguments, so the run can be repeated from it.
+arguments, so the run can be repeated from it; a cluster manifest also
+lists, per level, the words the search rescored and chose from.
 
 Exit codes: 0 success, 1 evaluation gate failure (error level medium or
 high), 2 usage or input error, 3 internal invariant violation.
@@ -236,10 +237,12 @@ def write_manifest(
     inputs: list[Path],
     outputs: list[Path],
     timings: dict[str, float],
+    levels: list[dict] | None = None,
     **derived,
 ) -> None:
     """Write ``<first output>.manifest.json``; its config is the parsed
-    arguments under their argparse names plus `derived` facts of the run."""
+    arguments under their argparse names plus `derived` facts of the run,
+    and `levels`, if given, lists per-level search counts."""
     config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     doc = {
         "tool": "tagsplit",
@@ -253,6 +256,8 @@ def write_manifest(
         "outputs": [str(p) for p in outputs],
         "timings_seconds": {k: round(v, 6) for k, v in timings.items()},
     }
+    if levels is not None:
+        doc["levels"] = levels
     with _create(_manifest_path(outputs[0])) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -314,7 +319,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     write_tags_tsv(tags_path, tags)
     write_stats_csv(stats_path, stats)
     derived = {"vocabulary_size": vocab.size, "bigram_total": store.T}
-    write_manifest(args, inputs, [tags_path, stats_path], timings, **derived)
+    # words rescored against words chosen from, so the kept share shows
+    levels = [
+        {"level": s.level, "words_scored": s.words_scored, "words_eligible": s.words_eligible}
+        for s in stats
+    ]
+    write_manifest(args, inputs, [tags_path, stats_path], timings, levels, **derived)
     return EXIT_OK
 
 

@@ -85,8 +85,10 @@ def acmi(matrix: ClassMatrix) -> float:
     if matrix.T == 0:
         raise UndefinedObjectiveError("ACMI is undefined on an empty matrix (T = 0)")
     N = matrix.counts
-    i, j = np.nonzero(N)
-    x = N[i, j].astype(np.float64)
+    # one scan of the flat table; the cells come in row-major order
+    flat = np.flatnonzero(N)
+    i, j = flat // matrix.C, flat % matrix.C
+    x = N.ravel()[flat].astype(np.float64)
     T = float(matrix.T)
     ratio = (x * T) / (matrix.row[i].astype(np.float64) * matrix.col[j].astype(np.float64))
     value = float(np.dot(x / T, np.log2(ratio)))

@@ -14,22 +14,34 @@ the group each search step picks its best move from:
   znrp  znr initialization, one group per parent class, so each step
         commits the best move of every class being split.
 
-A step scores every eligible move in one batch, against the state frozen
-at step start, and commits the best of each group if it beats epsilon
-(ties go to the lowest word id).  A lone move's frozen delta is exact, so
-it is booked as is.  A batch of two or more is booked exactly from the
-h-terms of its touched sibling classes' rows and columns, summed before
-and after it commits (line_terms); if it lowered the objective, its moves
-are retracted one at a time, lowest-scoring first, each booked the same
-way over its one sibling pair, until the batch no longer sits below the
-step-start value.  acmi() runs only once at the start and once at the end
-of each level, the second time as the drift guard.
+Every eligible word's move delta is kept across steps (ClusterState.delta),
+and a step rescores in one batch, against the state frozen at step start,
+only the eligible words of the sibling pairs (2p, 2p+1) that a move since
+their last scoring disturbed.  A move of w disturbs its own pair and every
+pair holding a successor or predecessor of w; it leaves every other
+word's eligibility, corner cells, marginals and context rows as they
+were, and changes an off-corner cell of such a word only where w has a
+neighbour in that word's pair.  A word's delta is summed over its own
+cells in a fixed order, so a kept delta is bit-identical to a rescored
+one and the picks are those of a full rescore.  The step then commits
+the best move of each group if it beats epsilon (ties go to the lowest
+word id).  A lone move's frozen delta is exact, so it is booked as is.  A
+batch of two or more is booked exactly from the h-terms of its touched
+sibling classes' rows and columns, summed before and after it commits
+(line_terms); if it lowered the objective, its moves are retracted one at
+a time, lowest-scoring first, each booked the same way over its one
+sibling pair, until the batch no longer sits below the step-start value.
+Retractions are moves, so they disturb pairs by the same rule.  acmi()
+runs only once at the start and once at the end of each level, the
+second time as the drift guard.
 
 Each level picks its per-word state once, when its ClusterState is built:
 the int32 class ids always, plus a dense ContextBank (2 x V x C counts)
 only while C * V is at most EDGE_FACTOR times the bigram pair count.
 Above that, scoring reads context cells from the bigram edges and no bank
-is allocated; every move reads the word's mass from its edges either way.
+is allocated.  A move reads the word's mass per class from its bank rows,
+or from its edges and the class ids where there is no bank, and the
+classes where that mass is nonzero are the ones it disturbs.
 cluster() drops each level's state before it builds the next.
 
 A word alone in its class rides down with bit 0 and stays alone: moves
@@ -131,6 +143,8 @@ class LevelStats:
     capped: bool = False
     acmi_trace: list[float] = field(default_factory=list)
     moved_words: list[int] = field(default_factory=list)
+    words_scored: int = 0  # rescored over all steps
+    words_eligible: int = 0  # chosen from over all steps
 
 
 def init_level(
@@ -173,6 +187,10 @@ class ClusterState:
     Single-writer: commits are serialized; scoring reads a consistent
     snapshot between commits.  moved lists the committed words in order.
     bank is None above the crossover C * V > EDGE_FACTOR * pairs.
+    delta[w] is w's move delta as last scored, current unless dirty flags
+    a class of w's sibling pair (see the module docstring).  words_scored
+    and words_eligible count the words rescored and chosen from over the
+    level's steps.
     """
 
     def __init__(
@@ -198,6 +216,9 @@ class ClusterState:
         self.max_iterations = 4 * store.V if max_iterations is None else max_iterations
         self.acmi = acmi(self.matrix)
         self.moved: list[int] = []
+        self.delta = np.zeros(store.V)
+        self.dirty = np.ones(self.C, dtype=bool)
+        self.words_scored = self.words_eligible = 0
 
     def eligible_words(self) -> np.ndarray:
         """Unpinned words whose class still has company (movable)."""
@@ -206,7 +227,11 @@ class ClusterState:
         return np.nonzero(movable)[0]
 
     def _shift(self, w: int, frm: int, to: int) -> None:
-        apply_move(self.matrix, self.store, self.assignment, w, frm, to)
+        L, R = apply_move(self.matrix, self.store, self.assignment, w, frm, to, self.bank)
+        # a word in another pair keeps its delta unless w neighbours it or
+        # a member of its pair: only then do its cells or context change
+        np.logical_or(self.dirty, L + R, out=self.dirty)
+        self.dirty[frm] = True
         if self.bank is not None:
             self.bank.move(w, frm, to)
         self.assignment[w] = to
@@ -221,19 +246,29 @@ class ClusterState:
 
 
 def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int, int]:
-    """One search step: score every eligible move, commit the best of each group.
+    """One search step: pick the best eligible move of each group, commit it.
 
     The group is the parent class (frm >> 1) when per_parent, else all words
-    form one group.  Every move is scored against the matrix and class ids
-    frozen at step start, so the selections are order-independent.
+    form one group.  Every move's delta holds against the matrix and class
+    ids frozen at step start, so the selections are order-independent:
+    the eligible words of dirty pairs are rescored, and the others keep
+    their deltas, which no move since their scoring changed.
     Returns (progressed, committed, retracted).
     """
     words = state.eligible_words()
     frm = state.assignment[words]
-    d = batch_deltas(
-        state.matrix, state.store, state.assignment, words, frm, state.bank
+    parent = frm >> 1
+    dirty = state.dirty
+    stale = (dirty[0::2] | dirty[1::2])[parent]
+    todo = words[stale]
+    state.delta[todo] = batch_deltas(
+        state.matrix, state.store, state.assignment, todo, frm[stale], state.bank
     )
-    group = frm >> 1 if per_parent else np.zeros_like(frm)
+    dirty[:] = False
+    d = state.delta[words]
+    state.words_scored += len(todo)
+    state.words_eligible += len(words)
+    group = parent if per_parent else np.zeros_like(frm)
     # by group, then best delta, then lowest word id: the first row of
     # each group's run is its best candidate
     order = np.lexsort((words, -d, group))
@@ -307,6 +342,8 @@ def run_level(state: ClusterState, strategy: str) -> LevelStats:
         capped=capped,
         acmi_trace=trace,
         moved_words=list(state.moved),
+        words_scored=state.words_scored,
+        words_eligible=state.words_eligible,
     )
 
 

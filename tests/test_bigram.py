@@ -276,6 +276,33 @@ class TestApplyMove:
         with pytest.raises(ConsistencyError):
             apply_move(m, store, assignment, 0, 0, 1)
 
+    @pytest.mark.parametrize("C", [2, 8, 64])
+    def test_bank_read_matches_edge_read(self, C):
+        # where a level keeps a ContextBank, apply_move reads the word's
+        # mass from its rows; a twin matrix moved from the edges stays
+        # integer-identical, and both reads return the same (L, R)
+        _, assignment, store = random_instance(60 + C, V=40, length=1200, C=C)
+        by_edges = class_matrix(store, assignment, C)
+        by_rows = class_matrix(store, assignment, C)
+        bank = ContextBank(store, assignment, C)
+        rng = np.random.default_rng(C)
+        # every word with a (w, w) bigram moves at least once
+        movers = [*np.flatnonzero(store.self_count), *rng.integers(0, store.V, 300)]
+        for w in map(int, movers):
+            frm = int(assignment[w])
+            to = (frm + int(rng.integers(1, C))) % C
+            edge_read = apply_move(by_edges, store, assignment, w, frm, to)
+            row_read = [a.copy() for a in apply_move(by_rows, store, assignment, w, frm, to, bank)]
+            for a, b in zip(edge_read, row_read):
+                assert np.array_equal(a, b)
+            bank.move(w, frm, to)
+            assignment[w] = to
+            rebuilt = class_matrix(store, assignment, C)
+            for m in (by_edges, by_rows):
+                assert np.array_equal(m.counts, rebuilt.counts)
+                assert np.array_equal(m.row, rebuilt.row)
+                assert np.array_equal(m.col, rebuilt.col)
+
     def test_incremental_bank_matches_recompute(self):
         stream, assignment, store = random_instance(31, V=30, length=800, C=4)
         C = 4

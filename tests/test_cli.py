@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -16,6 +17,7 @@ from tagsplit.cli import (
 )
 from tagsplit.splitter import LevelStats
 from tagsplit.elman import generate
+from tagsplit.synth import markov_text
 from conftest import pair_count
 
 
@@ -25,6 +27,24 @@ def elman_corpus(tmp_path_factory):
     rc = main(["generate-elman", "--sentences", "400", "--seed", "1", "--out", str(path)])
     assert rc == EXIT_OK
     return path
+
+
+@pytest.fixture(scope="module")
+def markov_corpus(tmp_path_factory):
+    path = tmp_path_factory.mktemp("corpus") / "markov8k.txt"
+    sents = markov_text(8000, n_types=3000, n_states=16, seed=11)
+    path.write_text("".join(" ".join(s) + "\n" for s in sents))
+    return path
+
+
+# tags TSV SHA-256 of an 8-level run on markov_corpus, top 120 words,
+# --boundary token, from a search that rescored every eligible word at
+# every step
+GOLDEN_TAGS_SHA256 = {
+    "m": "3bb13cfe52aff7be5101925cb94b870334e6cd14858cfcce8ff5508a985073f7",
+    "znr": "991f72b191e9baea7cc0295a1123cd8daa46c986dc010d945c1beb70c4e491a1",
+    "znrp": "5e531813e7a8947ea7d0d714b364b599a6602ca45fac25be6bd977afa04b08cb",
+}
 
 
 def run_cluster(corpus, tmp_path, *extra, method="znrp", levels="4", top="29"):
@@ -96,6 +116,9 @@ class TestCluster:
         assert manifest["command"] == "cluster"
         assert manifest["config"]["method"] == "znrp"
         assert manifest["inputs"][0]["sha256"]
+        levels = manifest["levels"]
+        assert [lv["level"] for lv in levels] == [1, 2, 3, 4]
+        assert all(0 < lv["words_scored"] <= lv["words_eligible"] for lv in levels)
 
     def test_manifest_config_reproduces_run(self, elman_corpus, tmp_path):
         pin = tmp_path / "pins.tsv"
@@ -147,6 +170,16 @@ class TestCluster:
         _, tags1, _ = run_cluster(elman_corpus, r1, method="znrp")
         _, tags2, _ = run_cluster(elman_corpus, r2, method="znrp")
         assert tags1.read_bytes() == tags2.read_bytes()
+
+    @pytest.mark.parametrize("method", sorted(GOLDEN_TAGS_SHA256))
+    def test_tags_match_recorded_sha256(self, markov_corpus, tmp_path, method):
+        # --seed 3 moves only m's draws; znrp retracts once at level 8
+        rc, tags, _ = run_cluster(
+            markov_corpus, tmp_path, "--boundary", "token", "--seed", "3",
+            method=method, levels="8", top="120",
+        )
+        assert rc == EXIT_OK
+        assert hashlib.sha256(tags.read_bytes()).hexdigest() == GOLDEN_TAGS_SHA256[method]
 
     def test_levels_over_cap_exit_2(self, elman_corpus, tmp_path, capsys):
         rc, *_ = run_cluster(elman_corpus, tmp_path, levels="11")

@@ -343,28 +343,36 @@ class TestSearchSelection:
     def test_one_group_pick_on_planted_ties(self, seed, monkeypatch):
         # deltas drawn from a few values, so the best one is shared by
         # several words; with one group (znr, m, and znrp at level 1) the
-        # pick is the best delta, then the lowest word id
+        # pick is the best delta, then the lowest word id.  A word's delta
+        # is drawn anew whenever the step rescores it, so it is a function
+        # of the word and of the step that last scored it, which is what
+        # the step reads back for the words it does not rescore
         rng = np.random.default_rng(seed)
         planted = {}
 
         def tied(matrix, store, assignment, words, frm, bank=None):
             d = rng.choice([-1e-3, 0.0, 2e-3, 5e-3], len(words))
-            planted["words"], planted["d"] = words, d
+            planted["latest"][words] = d
             return d
 
         monkeypatch.setattr(splitter, "batch_deltas", tied)
-        checked = 0
+        checked = kept = 0
         for state in search_states():
             per_parent = state.level == 1 and seed % 2 == 1
+            planted["latest"] = np.full(state.store.V, np.nan)
             for _ in range(5):
-                n_moves = len(state.moved)
+                n_moves, n_scored = len(state.moved), state.words_scored
+                words = state.eligible_words()
                 splitter._iteration(state, per_parent)
-                words, d = planted["words"], planted["d"]
+                d = planted["latest"][words]
+                assert not np.isnan(d).any()
                 best = d.max()
                 expected = [int(words[d == best].min())] if best > EPSILON else []
                 assert state.moved[n_moves:] == expected
                 checked += int(np.sum(d == d.max()) > 1)
+                kept += state.words_scored - n_scored < len(words)
         assert checked >= 50
+        assert kept >= 5
 
     def test_zero_delta_is_not_a_move(self):
         # word 12 never occurs, so moving it scores exactly 0: once the
@@ -438,6 +446,44 @@ class TestSearchSelection:
         assert checked["retraction"] == sum(s.retracted_moves for s in stats) > 0
         assert checked["batch"] > 50
         assert full_calls == {1 << level: 2 for level in range(1, 11)}
+
+    @pytest.mark.parametrize("strategy", ["m", "znr", "znrp"])
+    def test_kept_deltas_equal_a_full_rescore(self, strategy, monkeypatch):
+        # at every step of a 10-level run, the deltas the step picks from
+        # (rescored for dirty pairs, kept for the rest) are bit-identical
+        # to scoring every eligible word afresh.  znrp retracts on this
+        # corpus at levels 5 and 7, and two words are pinned
+        vocab, stream = build_vocabulary(
+            markov_text(20_000, n_types=10_000, n_states=24, seed=7), 200
+        )
+        store = count_bigrams(stream, vocab.size)
+        pinned = {vocab.entries[3].surface: "0110", vocab.entries[40].surface: "1"}
+        kernel = splitter.batch_deltas
+        step = splitter._iteration
+        steps = []
+
+        def checked_step(state, per_parent):
+            words = state.eligible_words()
+            frm = state.assignment[words]
+            full = kernel(state.matrix, state.store, state.assignment, words, frm, state.bank)
+            scored = state.words_scored
+            out = step(state, per_parent)
+            assert np.array_equal(state.delta[words], full)
+            steps.append((state.level, state.words_scored - scored, len(words)))
+            return out
+
+        monkeypatch.setattr(splitter, "_iteration", checked_step)
+        config = ClusterConfig(strategy=strategy, levels=10, seed=3, pinned=pinned)
+        _, stats = cluster(vocab, store, config)
+        assert len(steps) == sum(s.iterations + (not s.capped) for s in stats)
+        for s in stats:
+            mine = [(n, e) for level, n, e in steps if level == s.level]
+            assert s.words_scored == sum(n for n, _ in mine)
+            assert s.words_eligible == sum(e for _, e in mine)
+        # the rule keeps some deltas: fewer words rescored than chosen from
+        assert sum(s.words_scored for s in stats) < sum(s.words_eligible for s in stats)
+        if strategy == "znrp":
+            assert sum(s.retracted_moves for s in stats) > 0
 
     def test_pinned_and_lone_words_never_scored(self, monkeypatch):
         rng = np.random.default_rng(13)
