@@ -127,10 +127,13 @@ def class_matrix(store: BigramStore, assignment: np.ndarray, C: int) -> ClassMat
     assignment = np.asarray(assignment)
     if len(assignment) < store.V:
         raise ValueError("assignment shorter than vocabulary")
-    if len(assignment) and int(assignment.max()) >= C:
-        raise ValueError("assignment contains a class id >= C")
+    if len(assignment) and not 0 <= int(assignment.min()) <= int(assignment.max()) < C:
+        raise ValueError(f"assignment contains a class id outside 0..{C - 1}")
+    # one flat tally: np.add.at is faster on flat indices than on an index
+    # pair; intp keys, so no narrow integer dtype can overflow
     counts = np.zeros((C, C), dtype=np.int64)
-    np.add.at(counts, (assignment[store.left], assignment[store.right]), store.counts)
+    keys = np.multiply(assignment[store.left], C, dtype=np.intp) + assignment[store.right]
+    np.add.at(counts.ravel(), keys, store.counts)
     return ClassMatrix(C, counts)
 
 

@@ -6,29 +6,30 @@ that pool everything rarer by a coarse morphological tag and exact length
 (``<word9>``, ``<numeric3>``, ...).  Pooling the rare words keeps their
 context statistics available to the clustering instead of discarding them.
 
-A corpus is a sequence of segments, each a list of tokens, and no bigram
-spans two segments.  tokenize lazily yields a text's non-empty segments
-(its lines under sentence_boundary="token", else the whole text); the
-segments of several files simply follow one another, and
-build_vocabulary turns the segment lengths into the stream's break
-positions.
+A corpus is a sequence of token lists, and no bigram spans the end of a
+list or a "\n" token (BREAK) inside one.  Under sentence_boundary="token"
+tokenize lazily yields the text in chunks of whole lines, about
+CHUNK_CHARS characters each, with a BREAK token for each "\n" of the
+text; under "none" it yields the whole text as one list.  The lists of several files
+simply follow one another, and build_vocabulary turns the BREAK
+positions and the list ends into the stream's break positions.
 
-Ingest is one streaming pass.  build_vocabulary consumes any one-pass
-iterable of segments in blocks of BLOCK_TOKENS tokens; it maps each
-block to provisional int32 type ids (first-seen order, one dict for the
-whole corpus) and then drops the block's strings, so only one string per
-distinct type stays alive.  At the end it counts the types with one
-bincount, ranks the vocabulary once and remaps the provisional ids to
-final ids through one lookup table.  A segment is tokenized whole, so
-under sentence_boundary="none" a file's tokens are all alive together.
+Ingest is one streaming pass.  build_vocabulary maps each list to
+provisional int32 type ids with one np.fromiter over a first-seen-order
+dict (one for the whole corpus, BREAK reserved as id 0) and then drops
+the list's strings, so only one string per distinct type stays alive.
+At the end it drops the BREAK ids, counts the types with bincount, ranks
+the vocabulary once and remaps the provisional ids to final ids through
+one lookup table.  Under sentence_boundary="none" a file's tokens are all
+alive together.
 
 Character classes follow Python's own ``str`` predicates: a "word"
 character is anything ``isalnum()``, whitespace is ``isspace()`` plus any
 non-printable character, and everything else counts as punctuation, whose
 maximal runs are tokens too.  The tokenizer classifies only the text's
 distinct characters, then builds one pattern ``[word chars]+|[punct
-chars]+`` listing exactly those characters and splits the text with it in
-a single ``findall`` per segment.
+chars]+`` listing exactly those characters (plus ``|\n`` for line breaks)
+and splits the text with it in a single ``findall`` per chunk.
 
 Nothing here touches the disk: tagsplit.cli reads the input files and
 writes the vocabulary as TSV (write_vocab_tsv).
@@ -37,9 +38,9 @@ writes the vocabulary as TSV (write_vocab_tsv).
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, count
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -51,11 +52,16 @@ PSEUDO = "pseudo"
 
 _VOWELS = frozenset("aeiouAEIOU")
 _PSEUDO_LABEL_RE = re.compile(r"^<(numeric|alphanumeric|word|acronym|nota)(\d+)>$")
-_LINE_RE = re.compile(r"[^\n]+")
 
-# Tokens per encoding block.  Small blocks keep the peak low: freed token
-# strings would otherwise pin the allocator's arenas.
-BLOCK_TOKENS = 1 << 16
+# The line-break token: "\n" is whitespace, so no text token equals it.
+BREAK = "\n"
+# Characters per tokenized chunk, cut after a line break.  Small chunks
+# keep the peak low: freed token strings would otherwise pin the
+# allocator's arenas.
+CHUNK_CHARS = 1 << 16
+# Elements per piece of the character scan and of the type count, which
+# keeps their temporaries (UTF-32 bytes, bincount's intp copy) small.
+_PIECE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,7 @@ class TokenizerOptions:
 
     lowercase: fold cased letters before splitting.
     sentence_boundary: "none" treats newlines as whitespace; "token"
-        makes each line a segment of its own, so bigrams never cross them.
+        keeps each newline as a BREAK token, so bigrams never cross lines.
     """
 
     lowercase: bool = False
@@ -86,40 +92,61 @@ def _char_kind(ch: str) -> int:
     return 2
 
 
-def _token_pattern(text: str) -> re.Pattern | None:
-    """One pattern matching maximal word runs and punctuation runs of text.
+def _token_pattern(text: str, lines: bool) -> re.Pattern | None:
+    """One pattern matching maximal word runs and punctuation runs of text,
+    and BREAK when lines is set.
 
     The character classes list exactly the text's own characters of each
     kind, so the split follows _char_kind with no regex approximation of
     Python's str predicates.  None when the text has no token character.
     """
-    kinds = {ch: _char_kind(ch) for ch in set(text)}
+    # the text's distinct code points; "surrogatepass" keeps a lone
+    # surrogate, which _char_kind makes a separator
+    seen = np.zeros(0x110000, dtype=bool)
+    for a in range(0, len(text), _PIECE):
+        piece = text[a : a + _PIECE].encode("utf-32-le", "surrogatepass")
+        seen[np.frombuffer(piece, "<u4")] = True
+    kinds = {ch: _char_kind(ch) for ch in map(chr, np.flatnonzero(seen).tolist())}
     runs = []
     for kind in (1, 2):
         chars = "".join(ch for ch, k in kinds.items() if k == kind)
         if chars:
             runs.append(f"[{re.escape(chars)}]+")
-    return re.compile("|".join(runs)) if runs else None
+    if not runs:
+        return None
+    if lines:
+        runs.append(re.escape(BREAK))
+    return re.compile("|".join(runs))
 
 
 def tokenize(text: str, options: TokenizerOptions | None = None) -> Iterator[list[str]]:
-    """Lazily split text into its non-empty segments of tokens.
+    """Lazily split text into non-empty lists of tokens.
 
-    Deterministic and whitespace-free.  With sentence_boundary="token"
-    each line is a segment, tokenized only when it is reached; otherwise
-    the whole text is one.  The pattern is built when tokenize is called.
+    Deterministic, and no token holds whitespace.  With
+    sentence_boundary="token" the text is cut into chunks of whole lines,
+    about CHUNK_CHARS characters each, each tokenized only when it is
+    reached, and each "\n" of the text is a BREAK token; split a list at
+    its BREAK tokens to get the lines' tokens.  Otherwise the whole text is
+    one list.  The pattern is built when tokenize is called.
     """
     opts = options or TokenizerOptions()
     if opts.lowercase:
         text = text.lower()
-    pattern = _token_pattern(text)
+    lines = opts.sentence_boundary == "token"
+    pattern = _token_pattern(text, lines)
     if pattern is None:
         return iter(())
-    if opts.sentence_boundary == "token":
-        spans = (line.span() for line in _LINE_RE.finditer(text))
-    else:
-        spans = [(0, len(text))]
-    return (seg for a, b in spans if (seg := pattern.findall(text, a, b)))
+    return _chunks(text, pattern, CHUNK_CHARS if lines else len(text))
+
+
+def _chunks(text: str, pattern: re.Pattern, size: int) -> Iterator[list[str]]:
+    # each chunk ends just after the first BREAK at or past `size` characters
+    a = 0
+    while a < len(text):
+        b = text.find(BREAK, a + size - 1) + 1 or len(text)
+        if tokens := pattern.findall(text, a, b):
+            yield tokens
+        a = b
 
 
 def classify_rare(token: str) -> str:
@@ -201,16 +228,6 @@ class TokenStream:
         return [vocab.surface_of(int(i)) for i in self.ids]
 
 
-def _encode_block(tokens: Iterator[str], type_id: dict[str, int]) -> np.ndarray:
-    """Provisional int32 ids of the next BLOCK_TOKENS tokens (fewer at the
-    end, none when exhausted); new types get the next ids in type_id.  The
-    block's strings are freed on return."""
-    block = list(islice(tokens, BLOCK_TOKENS))
-    new = [t for t in dict.fromkeys(block) if t not in type_id]
-    type_id.update(zip(new, range(len(type_id), len(type_id) + len(new))))
-    return np.fromiter(map(type_id.__getitem__, block), np.int32, len(block))
-
-
 def build_vocabulary(
     segments: Iterable[list[str]], top_k: int
 ) -> tuple[Vocabulary, TokenStream]:
@@ -220,36 +237,43 @@ def build_vocabulary(
     the cut broken lexicographically); every other token is replaced by its
     pseudo-group label.  Tokens that already look like pseudo-group labels
     map straight to their group, which makes decode + rebuild a fixed point.
-    Segments are concatenated; the stream breaks where one non-empty
-    segment ends and the next begins.  segments may be any iterable (a
-    generator such as tokenize's output) and is consumed once, in blocks
-    of BLOCK_TOKENS tokens.  Pass a flat token list as [tokens].
+    Segments are concatenated without their BREAK ("\\n") tokens; the
+    stream breaks wherever a segment's end or a BREAK token, one inside a
+    caller's segment included, has tokens on both sides.  segments may be
+    any iterable (a generator such as tokenize's output) and is consumed
+    once.  Pass a flat token list as [tokens].
     """
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
-    lengths: list[int] = []
+    # provisional ids in first-seen order, BREAK reserved as 0; a BREAK
+    # closes every segment (and one opens the stream, so parts is never
+    # empty), which makes each segment end a break
+    type_id: defaultdict[str, int] = defaultdict(count(1).__next__, {BREAK: 0})
 
-    def segment(seg: list[str]) -> list[str]:
+    def encode(seg: list[str]) -> np.ndarray:
         if isinstance(seg, str):
             raise ConfigError("segments must be token lists; pass a flat token list as [tokens]")
-        lengths.append(len(seg))
-        return seg
+        ids = map(type_id.__getitem__, chain(seg, (BREAK,)))
+        return np.fromiter(ids, np.int32, len(seg) + 1)
 
-    tokens = chain.from_iterable(map(segment, segments))
-    type_id: dict[str, int] = {}
-    blocks = []
-    while len(ids := _encode_block(tokens, type_id)):
-        blocks.append(ids)
-    if not blocks:
+    parts = [np.zeros(1, np.int32), *map(encode, segments)]
+    # Free the parts, the raw ids and the dict as soon as they are copied:
+    # held until the return, they fragment the heap under the later
+    # allocations and raise the peak RSS (by about 9 MB on 1.6M tokens).
+    raw = np.concatenate(parts)
+    del parts
+    at = np.flatnonzero(raw == 0)
+    provisional = np.delete(raw, at)
+    del raw
+    if not len(provisional):
         raise IngestionError("empty token stream: nothing to build a vocabulary from")
-    # Free the blocks and the dict as soon as they are copied: held until
-    # the return, they fragment the heap under the later allocations and
-    # raise the peak RSS (by about 9 MB on 1.6M tokens).
-    provisional = np.concatenate(blocks)
-    del blocks
-    surfaces = list(type_id)
+    provisional -= 1
+    surfaces = list(type_id)[1:]
     del type_id
-    counts = np.bincount(provisional, minlength=len(surfaces)).tolist()
+    counts = sum(
+        np.bincount(provisional[a : a + _PIECE], minlength=len(surfaces))
+        for a in range(0, len(provisional), _PIECE)
+    ).tolist()
 
     plain = [i for i, t in enumerate(surfaces) if not _PSEUDO_LABEL_RE.match(t)]
     plain.sort(key=lambda i: (-counts[i], surfaces[i]))
@@ -278,6 +302,9 @@ def build_vocabulary(
     final_id = np.fromiter(
         map(vocab.index.__getitem__, final_surface), np.int32, len(final_surface)
     )
-    sizes = np.array(lengths, dtype=np.int64)
-    breaks = np.cumsum(sizes[sizes > 0])[:-1]
+    # the tokens before each BREAK, in ascending order; where tokens follow
+    # too, that is a break (np.diff drops repeats)
+    cuts = at - np.arange(len(at), dtype=np.int64)
+    cuts = cuts[(cuts > 0) & (cuts < len(provisional))]
+    breaks = cuts[np.diff(cuts, prepend=0) > 0]
     return vocab, TokenStream(ids=final_id[provisional], breaks=breaks)

@@ -161,6 +161,18 @@ class TestClassMatrix:
         bad = np.full(store.V, 4, dtype=np.int32)
         with pytest.raises(ValueError):
             class_matrix(store, bad, 4)
+        bad[:] = 0
+        bad[-1] = -1  # would wrap to the last class
+        with pytest.raises(ValueError):
+            class_matrix(store, bad, 4)
+
+    def test_narrow_class_ids_do_not_overflow(self):
+        stream, assignment, store = random_instance(3)
+        C = int(assignment.max()) + 1
+        want = class_matrix(store, assignment, C).counts
+        # C * C = 2**20 flat cells: int8 ids times C would wrap in int8
+        got = class_matrix(store, assignment.astype(np.int8), 1024).counts
+        assert np.array_equal(got[:C, :C], want) and got.sum() == want.sum()
 
 
 class TestContextVectors:

@@ -17,7 +17,7 @@ from tagsplit import (
 )
 from tagsplit import corpus
 from tagsplit.cli import build_pipeline, write_vocab_tsv
-from tagsplit.corpus import LEXICAL, PSEUDO
+from tagsplit.corpus import BREAK, LEXICAL, PSEUDO
 from conftest import build_vocabulary_oracle, tokenize_oracle
 
 # Letters, digits and punctuation (regex metacharacters included), ASCII
@@ -30,20 +30,37 @@ MIXED_ALPHABET = (
     + "\t\r\n\x85 \xa0\u2028"
     + "\u200b\x1e\x00"
     + "é١²İß"
+    + "\ud800"  # a lone surrogate
 )
 ALL_OPTIONS = [
     TokenizerOptions(lowercase=lc, sentence_boundary=sb)
     for lc, sb in itertools.product((False, True), ("none", "token"))
 ]
-# Encoding block sizes that put block joints at every possible offset of
-# short segments, and the real size.
-BLOCK_SIZES = (1, 2, 3, corpus.BLOCK_TOKENS)
+# Chunk sizes that make every line of a short text a chunk of its own, or
+# join it to the next line, and the real size.
+CHUNK_SIZES = (1, 2, 3, corpus.CHUNK_CHARS)
 # Surfaces for generated texts: case pairs, digits, punctuation runs and a
 # pseudo-label lookalike, which the tokenizer splits at its brackets.
 WORDS = ["a", "A", "the", "The", "ox", "xyz", "42", "k9", "-", "don't", "é", "<word3>", "?!"]
 TEXTS = st.lists(st.lists(st.sampled_from(WORDS), max_size=7), max_size=6).map(
     lambda lines: "\n".join(" ".join(line) for line in lines)
 )
+
+
+def tokenize_lines(text, opts):
+    """tokenize's output in tokenize_oracle's form: under
+    sentence_boundary="token" the yielded lists cut at their BREAK tokens,
+    empty pieces dropped, which gives each non-empty line's tokens; as
+    yielded otherwise."""
+    got = list(tokenize(text, opts))
+    if opts.sentence_boundary != "token":
+        return got
+    return [
+        list(tokens)
+        for chunk in got
+        for is_break, tokens in itertools.groupby(chunk, lambda t: t == BREAK)
+        if not is_break
+    ]
 
 
 def assert_same_encoding(got, want):
@@ -79,14 +96,34 @@ class TestTokenize:
     def test_boundary_token_between_lines(self):
         text = "\na b\nc d\n\ne\n"
         opts = TokenizerOptions(sentence_boundary="token")
-        assert list(tokenize(text, opts)) == [["a", "b"], ["c", "d"], ["e"]]
+        assert tokenize_lines(text, opts) == [["a", "b"], ["c", "d"], ["e"]]
+        # one chunk, a BREAK for every "\n"
+        assert list(tokenize(text, opts)) == [
+            [BREAK, "a", "b", BREAK, "c", "d", BREAK, BREAK, "e", BREAK]
+        ]
         # without line boundaries a newline is whitespace: one segment
         assert list(tokenize(text)) == [["a", "b", "c", "d", "e"]]
 
     def test_boundary_sentinel_never_produced_from_text(self):
         opts = TokenizerOptions(sentence_boundary="token")
         # a raw control char is whitespace, not a token, and only "\n" ends a line
-        assert list(tokenize("a \x1e b\nc", opts)) == [["a", "b"], ["c"]]
+        assert tokenize_lines("a \x1e b\nc", opts) == [["a", "b"], ["c"]]
+        assert list(tokenize("a \x1e b\nc", opts)) == [["a", "b", BREAK, "c"]]
+
+    def test_lone_surrogate_is_a_separator(self):
+        for opts in ALL_OPTIONS:
+            got = tokenize_lines("a\ud800b \udfff\n-\ud83d\ude00-", opts)
+            assert got == tokenize_oracle("a\ud800b \udfff\n-\ud83d\ude00-", opts), opts
+            assert list(itertools.chain.from_iterable(got)) == ["a", "b", "-", "-"]
+
+    def test_long_line_never_cut(self):
+        opts = TokenizerOptions(sentence_boundary="token")
+        text = "x " * corpus.CHUNK_CHARS + "\ny z"
+        assert list(tokenize(text, opts)) == [["x"] * corpus.CHUNK_CHARS + [BREAK], ["y", "z"]]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus, "CHUNK_CHARS", 4)
+            got = list(tokenize("abcdefgh ij\nk\n\nlm no", opts))
+        assert got == [["abcdefgh", "ij", BREAK], ["k", BREAK, BREAK, "lm", "no"]]
 
     def test_bad_boundary_mode_rejected(self):
         with pytest.raises(ConfigError):
@@ -95,8 +132,11 @@ class TestTokenize:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(text=st.text(alphabet=st.sampled_from(MIXED_ALPHABET), max_size=60))
     def test_matches_per_character_oracle(self, text):
-        for opts in ALL_OPTIONS:
-            assert list(tokenize(text, opts)) == tokenize_oracle(text, opts), opts
+        for chunk, opts in itertools.product(CHUNK_SIZES, ALL_OPTIONS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(corpus, "CHUNK_CHARS", chunk)
+                got = tokenize_lines(text, opts)
+            assert got == tokenize_oracle(text, opts), (chunk, opts)
 
 
 class TestClassifyRare:
@@ -190,6 +230,11 @@ class TestBuildVocabulary:
         assert stream.breaks.tolist() == [2]
         assert stream.breaks.dtype == np.int64
 
+    def test_break_token_inside_a_segment_is_a_break(self):
+        got = build_vocabulary([[BREAK, "a", BREAK, "b"], [BREAK], ["c", BREAK]], 10)
+        assert_same_encoding(got, build_vocabulary_oracle([["a"], ["b"], ["c"]], 10))
+        assert got[1].breaks.tolist() == [1, 2]
+
     def test_leading_and_double_boundaries_collapse(self):
         # empty segments leading, doubled and trailing add no break
         _, stream = build_vocabulary([[], ["a"], [], [], ["b"], []], 10)
@@ -224,6 +269,8 @@ class TestBuildVocabulary:
             build_vocabulary([], 3)
         with pytest.raises(IngestionError):
             build_vocabulary([[], []], 3)
+        with pytest.raises(IngestionError, match="empty token stream"):
+            build_vocabulary([[BREAK], [BREAK, BREAK]], 3)
         with pytest.raises(ConfigError, match=r"\[tokens\]"):
             build_vocabulary(["a", "b"], 3)  # a flat token list, not segments
 
@@ -247,10 +294,10 @@ class TestBuildVocabulary:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(text=TEXTS, top_k=st.integers(1, 8))
     def test_block_joints_match_oracle(self, text, top_k):
-        for block, opts in itertools.product(BLOCK_SIZES, ALL_OPTIONS):
+        for chunk, opts in itertools.product(CHUNK_SIZES, ALL_OPTIONS):
             segments = tokenize_oracle(text, opts)
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(corpus, "BLOCK_TOKENS", block)
+                mp.setattr(corpus, "CHUNK_CHARS", chunk)
                 if not segments:
                     with pytest.raises(IngestionError):
                         build_vocabulary(tokenize(text, opts), top_k)
@@ -265,7 +312,8 @@ class TestBuildVocabulary:
         top_k=st.integers(1, 8),
     )
     def test_pipeline_block_joints_match_oracle(self, tmp_path_factory, texts, opts, top_k):
-        # segments longer than a block put block joints inside segments
+        # 1-3 character chunks put chunk joints at line joints, the real
+        # size keeps each text in one chunk; file joints fall between chunks
         segments = [seg for text in texts for seg in tokenize_oracle(text, opts)]
         assume(segments)
         paths = [tmp_path_factory.mktemp("in") / "corpus.txt" for _ in texts]
@@ -279,9 +327,9 @@ class TestBuildVocabulary:
             ids = want.ids[pos : pos + len(seg)].tolist()
             in_segment.update(zip(ids, ids[1:]))
             pos += len(seg)
-        for block in BLOCK_SIZES:
+        for chunk in CHUNK_SIZES:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(corpus, "BLOCK_TOKENS", block)
+                mp.setattr(corpus, "CHUNK_CHARS", chunk)
                 vocab, stream, store = build_pipeline(
                     paths, top_k, opts.lowercase, opts.sentence_boundary
                 )
