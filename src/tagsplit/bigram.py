@@ -5,13 +5,12 @@ mirrored as successor and predecessor lists per word (succ_edges and
 pred_edges list those of a set of words at once).  ClassMatrix is the
 C x C table of bigram counts by (left class, right class) with row/column
 marginals; moving one word between classes touches only two rows and two
-columns, so the matrix is maintained incrementally (apply_move, which reads
-the word's class-context counts from its ContextBank rows, or from its
-edges and the class ids where the level keeps no bank) and kept
-bit-identical to a from-scratch rebuild.  ContextBank caches those counts
-densely, V x C per side, for the levels whose scorer reads them by row;
-deep levels build none, and the int32 class ids are their only per-word
-state.
+columns, so the matrix is maintained incrementally (apply_move) and kept
+bit-identical to a from-scratch rebuild.  ContextBank owns a level's
+class ids and is the one place that knows where a word's class-context
+counts come from: dense V x C rows per side at the levels where those
+are at most EDGE_FACTOR cells per bigram pair, else the bigram edges and
+the class ids, so deep levels hold no V x C state.
 
 All counts are int64; probabilities appear only in the objective module.
 """
@@ -35,7 +34,7 @@ class BigramStore:
         self.T = int(counts.sum())
         if self.T >= 2**53:
             raise ValueError("more than 2**53 bigrams: float64 sums of counts would round")
-        # objective packs (word, class, count) into one int64 to sort edge cells
+        # _edge_context packs (word, class, count) into one int64 to sort edge cells
         if V * MAX_CLASSES << int(counts.max(initial=0)).bit_length() > 2**63:
             raise ValueError(
                 f"a bigram count too large for {V} words: (word, class, count) "
@@ -137,74 +136,155 @@ def class_matrix(store: BigramStore, assignment: np.ndarray, C: int) -> ClassMat
     return ClassMatrix(C, counts)
 
 
-class ContextBank:
-    """Dense class-context counts for every word, repaired incrementally.
+# A level keeps dense context rows, and ContextBank reads its counts from
+# them, only while C * V is at most EDGE_FACTOR times the pair count; above
+# that the counts come from the bigram edges and the class ids.  The factor
+# is a memory bound: the rows hold 2 * V * C int64 cells, so at most 64
+# bytes per bigram pair.  Timed per level on the final class ids of the
+# novel benchmark runs (2-vCPU x86 host, numpy 2.4.6, median of 7
+# alternating rounds), edge time over row time is, by C * V / pairs:
+#   znrp, V=503:  2.53 -> 1.34,  5.06 -> 1.04,  10.1 -> 0.70,  20.2 -> 0.42
+#   znr,  V=253:  2.26 -> 1.44,  4.52 -> 1.13,  9.05 -> 0.87,  18.1 -> 0.66
+# so the rows stay faster up to about 5-7 times the pair count, and at
+# factor 4 the first edge level (C * V near 5 times the pairs) pays 4-13%
+# over rows for not holding them.
+EDGE_FACTOR = 4
 
-    left[w, c] counts bigrams (w, v) and right[w, c] bigrams (v, w) with v
-    in class c under the assignment it was built from; f(w, w) =
-    store.self_count[w] is in both at w's class.  It costs 2 * V * C int64
-    cells, so only the levels where that is at most EDGE_FACTOR cells per
-    bigram pair keep one (see splitter.ClusterState).  When word u moves,
-    only the rows of u's sparse neighbours change.
+
+class ContextBank:
+    """A level's class ids and every word's class-context counts.
+
+    A word w's context is L[c], the count of bigrams (w, v), and R[c], that
+    of bigrams (v, w), with v in class c; f(w, w) = store.self_count[w] is
+    in both at w's class.  `assignment` is the caller's class id array,
+    which only move writes.  While C * V is at most EDGE_FACTOR times the
+    pair count, left and right hold every word's L and R as dense V x C
+    rows, and a move repairs only its word's neighbours' rows; above that
+    they have no rows, and the counts come from the bigram edges and the
+    class ids, which give the same counts and cells in the same order.
     """
 
     def __init__(self, store: BigramStore, assignment: np.ndarray, C: int):
         self.store = store
-        a = np.asarray(assignment)
+        self.assignment = np.asarray(assignment)  # the caller's array itself
+        self.C = C
         V = store.V
+        self.dense = C * V <= EDGE_FACTOR * len(store.counts)
+        if not self.dense:
+            self.left = self.right = np.zeros((0, C), dtype=np.int64)
+            return
 
         def tally(word: np.ndarray, neighbour: np.ndarray) -> np.ndarray:
             # one bincount keyed word * C + class; its float64 sums are
             # exact, as every count totals at most T < 2**53
-            key = word * C + a[neighbour]
+            key = word * C + self.assignment[neighbour]
             cells = np.bincount(key, store.counts, minlength=V * C)
             return cells.astype(np.int64).reshape(V, C)
 
         self.left = tally(store.left, store.right)
         self.right = tally(store.right, store.left)
 
-    def move(self, w: int, frm: int, to: int) -> None:
-        """Repair w's neighbours' rows for its move frm -> to."""
-        ids, cnts = self.store.pred(w)
-        self.left[ids, frm] -= cnts
-        self.left[ids, to] += cnts
+    def context(self, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """w's (L, R), length C each; views of the rows at a dense level."""
+        if self.dense:
+            return self.left[w], self.right[w]
+        # float64 bincount sums are exact: a word's counts total at most T < 2**53
         ids, cnts = self.store.succ(w)
-        self.right[ids, frm] -= cnts
-        self.right[ids, to] += cnts
+        L = np.bincount(self.assignment[ids], cnts, minlength=self.C).astype(np.int64)
+        ids, cnts = self.store.pred(w)
+        R = np.bincount(self.assignment[ids], cnts, minlength=self.C).astype(np.int64)
+        return L, R
+
+    def cells(self, words: np.ndarray, a: np.ndarray) -> list[tuple]:
+        """The words' nonzero context cells off their sibling pair (a, a ^ 1).
+
+        One (k, j, x, at_a, at_b) per side, L then R: x > 0 is words[k]'s
+        count at class j, for j other than a[k] and a[k] ^ 1, in row-major
+        order of (k, j); at_a and at_b are the words' counts at a and
+        a ^ 1.
+        """
+        b = a ^ 1
+        if self.dense:
+            return [_row_context(ctx, words, a, b) for ctx in (self.left, self.right)]
+        return [
+            _edge_context(edges, words, self.assignment, self.C, a, b)
+            for edges in (self.store.succ_edges, self.store.pred_edges)
+        ]
+
+    def move(self, w: int, frm: int, to: int) -> None:
+        """Record w's move frm -> to: repair its neighbours' rows, set its id."""
+        if self.dense:
+            ids, cnts = self.store.pred(w)
+            self.left[ids, frm] -= cnts
+            self.left[ids, to] += cnts
+            ids, cnts = self.store.succ(w)
+            self.right[ids, frm] -= cnts
+            self.right[ids, to] += cnts
+        self.assignment[w] = to
+
+
+def _row_context(ctx: np.ndarray, words: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """One side's ContextBank.cells, from the dense rows ctx.
+
+    The corners are read from, and zeroed in, the gathered copy of the
+    rows, never in ctx.
+    """
+    rows = ctx[words]
+    r = np.arange(len(words))
+    at_a, at_b = rows[r, a], rows[r, b]
+    rows[r, a] = 0
+    rows[r, b] = 0
+    k, j = np.nonzero(rows)
+    return k, j, rows[k, j], at_a, at_b
+
+
+def _edge_context(edges, words, assignment: np.ndarray, C: int, a: np.ndarray, b: np.ndarray):
+    """One side's ContextBank.cells, from the words' bigram edges.
+
+    An edge feeds the cell of its neighbour's class.  Its count is packed
+    below its key (k, class) in one int64, which BigramStore bounds V and
+    the counts to fit, so one sort puts the cells in np.nonzero's row-major
+    order and each run of one key is one cell, whose counts sum exactly.
+    """
+    k, v, cnt = edges(words)
+    cb = (C - 1).bit_length()
+    bits = int(cnt.max(initial=0)).bit_length()
+    packed = (k << cb | assignment[v]) << bits | cnt
+    packed.sort()
+    key, cnt = packed >> bits, packed & ((1 << bits) - 1)
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    start = np.flatnonzero(first)
+    x = np.add.reduceat(cnt, start)
+    key = key[start]
+    k, j = key >> cb, key & ((1 << cb) - 1)
+    at_a, at_b = j == a[k], j == b[k]
+    corners = []
+    for at in (at_a, at_b):
+        corner = np.zeros(len(words), dtype=np.int64)
+        corner[k[at]] = x[at]
+        corners.append(corner)
+    keep = ~(at_a | at_b)
+    return k[keep], j[keep], x[keep], *corners
 
 
 def apply_move(
-    matrix: ClassMatrix,
-    store: BigramStore,
-    assignment: np.ndarray,
-    w: int,
-    frm: int,
-    to: int,
-    bank: ContextBank | None = None,
+    matrix: ClassMatrix, bank: ContextBank, w: int, frm: int, to: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Shift word w's bigram mass from class frm to class to, in place.
 
-    w's row and column mass per class, L and R, are read from bank's rows
-    when a bank is given, else from its edges under `assignment`, the
-    class ids before the move (w still in frm), in O(degree + C); both
-    give the same counts.  Equivalent to deleting the word's mass under
-    frm and re-inserting it under to; the result is integer-identical to
-    a from-scratch rebuild under the post-move assignment.  Returns
-    (L, R), views of bank's rows when a bank is given, so read them
-    before bank.move.  The caller then sets assignment[w] = to.
+    w's row and column mass per class, L and R, are bank.context(w), read
+    before the move (w still in frm).  Equivalent to deleting the word's
+    mass under frm and re-inserting it under to; the result is
+    integer-identical to a from-scratch rebuild under the post-move
+    assignment.  Returns (L, R), views of bank's rows at a dense level, so
+    read them before bank.move, which the caller then calls.
     """
     if frm == to:
         raise ValueError("apply_move requires frm != to")
     N = matrix.counts
-    if bank is not None:
-        L, R = bank.left[w], bank.right[w]
-    else:
-        # float64 bincount sums are exact: a word's counts total at most T < 2**53
-        ids, cnts = store.succ(w)
-        L = np.bincount(assignment[ids], cnts, minlength=matrix.C).astype(np.int64)
-        ids, cnts = store.pred(w)
-        R = np.bincount(assignment[ids], cnts, minlength=matrix.C).astype(np.int64)
-    f = store.self_count[w]
+    L, R = bank.context(w)
+    f = bank.store.self_count[w]
     N[frm, :] -= L
     N[to, :] += L
     N[:, frm] -= R
@@ -215,7 +295,7 @@ def apply_move(
     N[to, frm] -= f
     N[frm, to] -= f
     N[frm, frm] += f
-    sL, sR = store.succ_total[w], store.pred_total[w]
+    sL, sR = bank.store.succ_total[w], bank.store.pred_total[w]
     matrix.row[frm] -= sL
     matrix.row[to] += sL
     matrix.col[frm] -= sR

@@ -20,17 +20,14 @@ marginals.  Every count whose h-term a move changes goes into one array,
 which is checked for negative post-move counts in the order successor
 cells, predecessor cells, corners, and passed through h once; views of it
 are then summed per word, so a search step costs a small, fixed number
-of numpy calls whatever the number of words.  It lists the n scored
-words' nonzero context cells from their dense ContextBank rows when the
-level keeps a bank, and otherwise from their bigram edges and the class
-ids, summing each cell's edge counts exactly; deep levels therefore cost
-O(edges), not O(n C), and hold no V x C state.  Both sources give the
-same cells in the same order, so the same deltas to the bit.  line_terms
+of numpy calls whatever the number of words.  The cells come from
+ContextBank.cells, which lists them from dense rows or from bigram edges
+in the same order, so both give the same deltas to the bit.  line_terms
 sums the h-terms of a set of rows and columns, so a commit confined to
 them is booked exactly.  delta_acmi is the scalar reference: it
 re-evaluates the two rows and columns before and after the move from the
-word's bank rows, at most 8(C-1) log terms, and an optional counter
-counts them.
+word's ContextBank.context, at most 8(C-1) log terms, and an optional
+counter counts them.
 """
 
 from __future__ import annotations
@@ -39,27 +36,12 @@ import math
 
 import numpy as np
 
-from .bigram import BigramStore, ClassMatrix, ContextBank
+from .bigram import ClassMatrix, ContextBank
 from .errors import ConsistencyError, UndefinedObjectiveError
 
 # Improvement threshold: deltas in (-EPSILON, EPSILON] are non-improving,
 # so floating-point noise can never drive the search loops.
 EPSILON = 1e-12
-
-# A level keeps a dense ContextBank, and batch_deltas reads context cells
-# from its rows, only while C * V is at most EDGE_FACTOR times the pair
-# count; above that the cells come from the bigram edges.  The factor is a
-# memory bound: a bank holds 2 * V * C int64 cells, so at most 64 bytes per
-# bigram pair.  Timed per level on the final class ids of the novel
-# benchmark runs (2-vCPU x86 host, numpy 2.4.6, median of 7 alternating
-# rounds), edge time over bank time is, by C * V / pairs:
-#   znrp, V=503:  2.53 -> 1.34,  5.06 -> 1.04,  10.1 -> 0.70,  20.2 -> 0.42
-#   znr,  V=253:  2.26 -> 1.44,  4.52 -> 1.13,  9.05 -> 0.87,  18.1 -> 0.66
-# so the rows stay faster up to about 5-7 times the pair count, and at
-# factor 4 the first edge level (C * V near 5 times the pairs) pays 4-13%
-# over a bank for not holding one.
-EDGE_FACTOR = 4
-
 
 class LogEvalCounter:
     """Counts log-term evaluations inside delta_acmi."""
@@ -185,7 +167,8 @@ def delta_acmi(
     row, col = matrix.row, matrix.col
     T = float(matrix.T)
     a, b = frm, to
-    L, R, f = bank.left[w], bank.right[w], int(bank.store.self_count[w])
+    L, R = bank.context(w)
+    f = int(bank.store.self_count[w])
     sL = int(L.sum())
     sR = int(R.sum())
 
@@ -247,81 +230,29 @@ def line_terms(matrix: ClassMatrix, classes: np.ndarray) -> float:
     return s
 
 
-def _row_context(ctx: np.ndarray, words: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Off-corner context cells (k, j, x) of the words, from dense bank rows.
-
-    x > 0 is words[k]'s count at class j, for j other than a[k] and b[k];
-    the words' counts at a and b follow as two arrays.  The corners are
-    read from, and zeroed in, the gathered copy of the rows, never in ctx.
-    """
-    rows = ctx[words]
-    r = np.arange(len(words))
-    at_a, at_b = rows[r, a], rows[r, b]
-    rows[r, a] = 0
-    rows[r, b] = 0
-    k, j = np.nonzero(rows)
-    return k, j, rows[k, j], at_a, at_b
-
-
-def _edge_context(edges, words, assignment: np.ndarray, C: int, a: np.ndarray, b: np.ndarray):
-    """_row_context from the words' bigram edges and the class ids.
-
-    An edge feeds the cell of its neighbour's class.  Its count is packed
-    below its key (k, class) in one int64, which BigramStore bounds V and
-    the counts to fit, so one sort puts the cells in np.nonzero's row-major
-    order and each run of one key is one cell, whose counts sum exactly.
-    """
-    k, v, cnt = edges(words)
-    cb = (C - 1).bit_length()
-    bits = int(cnt.max(initial=0)).bit_length()
-    packed = (k << cb | assignment[v]) << bits | cnt
-    packed.sort()
-    key, cnt = packed >> bits, packed & ((1 << bits) - 1)
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    start = np.flatnonzero(first)
-    x = np.add.reduceat(cnt, start)
-    key = key[start]
-    k, j = key >> cb, key & ((1 << cb) - 1)
-    at_a, at_b = j == a[k], j == b[k]
-    corners = []
-    for at in (at_a, at_b):
-        corner = np.zeros(len(words), dtype=np.int64)
-        corner[k[at]] = x[at]
-        corners.append(corner)
-    keep = ~(at_a | at_b)
-    return k[keep], j[keep], x[keep], *corners
-
-
 def batch_deltas(
-    matrix: ClassMatrix,
-    store: BigramStore,
-    assignment: np.ndarray,
-    words: np.ndarray,
-    frm: np.ndarray,
-    bank: ContextBank | None = None,
+    matrix: ClassMatrix, bank: ContextBank, words: np.ndarray, frm: np.ndarray
 ) -> np.ndarray:
     """Change in ACMI for moving each words[k] from frm[k] to its sibling frm[k]^1.
 
     words are distinct.  All moves are scored against the same matrix
-    state under the class ids `assignment`; neither is touched.  With
-    x = L[w, j] for each nonzero cell of w's left context outside columns
-    a and b, word w moving a -> b changes T * ACMI by
+    state and bank; neither is touched.  With x = L[w, j] for each nonzero
+    cell of w's left context outside columns a and b, word w moving
+    a -> b changes T * ACMI by
 
       sum of  h(N[a,j] - x) - h(N[a,j]) + h(N[b,j] + x) - h(N[b,j]),
       the same over w's right context in columns a and b,
       the h-changes of the four corner cells,
       minus the h-changes of r[a], r[b], c[a], c[b].
 
-    The context cells, corners included, come from bank's dense rows when
-    a bank is given, else from the words' bigram edges; both give the same
-    cells in the same order, so the same deltas.  Every count whose h-term
-    a move changes goes into one array and through one h pass; the terms
-    are then summed per word in the order above.  Equals delta_acmi move
-    for move to floating-point rounding.  Where a post-move count would go
-    negative, i.e. where the context no longer matches the matrix, raises
-    ConsistencyError naming the word of the first such count, taken in the
-    order successor cells, predecessor cells, corners.
+    The context cells, corners included, come from bank.cells.  Every
+    count whose h-term a move changes goes into one array and through one
+    h pass; the terms are then summed per word in the order above.  Equals
+    delta_acmi move for move to floating-point rounding.  Where a
+    post-move count would go negative, i.e. where the context no longer
+    matches the matrix, raises ConsistencyError naming the word of the
+    first such count, taken in the order successor cells, predecessor
+    cells, corners.
     """
     if matrix.T == 0:
         raise UndefinedObjectiveError("ACMI is undefined on an empty matrix (T = 0)")
@@ -333,22 +264,16 @@ def batch_deltas(
 
     # off-corner cells: rows a and b at w's successor classes, then
     # columns a and b (rows of N.T) at w's predecessor classes
-    sides = []
-    for lines, ctx, edges in (
-        (N, None if bank is None else bank.left, store.succ_edges),
-        (N.T, None if bank is None else bank.right, store.pred_edges),
-    ):
-        if ctx is None:
-            k, j, x, at_a, at_b = _edge_context(edges, words, assignment, matrix.C, a, b)
-        else:
-            k, j, x, at_a, at_b = _row_context(ctx, words, a, b)
-        sides.append((k, x, lines[a[k], j], lines[b[k], j], at_a, at_b))
+    sides = [
+        (k, x, lines[a[k], j], lines[b[k], j], at_a, at_b)
+        for lines, (k, j, x, at_a, at_b) in zip((N, N.T), bank.cells(words, a))
+    ]
     (k1, x1, na1, nb1, La, Lb), (k2, x2, na2, nb2, Ra, Rb) = sides
     m1, m = len(k1), len(k1) + len(k2)
 
-    f = store.self_count[words]
+    f = bank.store.self_count[words]
     aa, ab, ba, bb = N[a, a], N[a, b], N[b, a], N[b, b]
-    sL, sR = store.succ_total[words], store.pred_total[words]
+    sL, sR = bank.store.succ_total[words], bank.store.pred_total[words]
     ra, rb, ca, cb = matrix.row[a], matrix.row[b], matrix.col[a], matrix.col[b]
     counts = np.concatenate((
         # post-move counts in line a, then corners; the (w,w) mass lands on (b,b)

@@ -35,14 +35,12 @@ Retractions are moves, so they disturb pairs by the same rule.  acmi()
 runs only once at the start and once at the end of each level, the
 second time as the drift guard.
 
-Each level picks its per-word state once, when its ClusterState is built:
-the int32 class ids always, plus a dense ContextBank (2 x V x C counts)
-only while C * V is at most EDGE_FACTOR times the bigram pair count.
-Above that, scoring reads context cells from the bigram edges and no bank
-is allocated.  A move reads the word's mass per class from its bank rows,
-or from its edges and the class ids where there is no bank, and the
-classes where that mass is nonzero are the ones it disturbs.
-cluster() drops each level's state before it builds the next.
+Each level's ContextBank holds its int32 class ids and decides once, when
+the ClusterState is built, where the words' context counts come from:
+dense V x C rows at the shallow levels, the bigram edges at the deep ones
+(see bigram.ContextBank).  A move reads the word's mass per class from
+the bank, and the classes where that mass is nonzero are the ones it
+disturbs.  cluster() drops each level's state before it builds the next.
 
 A word alone in its class rides down with bit 0 and stays alone: moves
 only cross sibling classes and a lone word is never eligible.  Its tag
@@ -63,7 +61,7 @@ import numpy as np
 from .bigram import MAX_CLASSES, MAX_LEVELS, BigramStore, ContextBank, apply_move, class_matrix
 from .corpus import Vocabulary
 from .errors import ConfigError, ConsistencyError, IngestionError
-from .objective import EDGE_FACTOR, EPSILON, acmi, batch_deltas, line_terms
+from .objective import EPSILON, acmi, batch_deltas, line_terms
 # not called here; perfbench/invoke.py wraps these on this module by name
 from .objective import delta_acmi, pair_before_sum  # noqa: F401
 
@@ -186,7 +184,7 @@ class ClusterState:
 
     Single-writer: commits are serialized; scoring reads a consistent
     snapshot between commits.  moved lists the committed words in order.
-    bank is None above the crossover C * V > EDGE_FACTOR * pairs.
+    assignment is the class ids the bank holds and alone writes.
     delta[w] is w's move delta as last scored, current unless dirty flags
     a class of w's sibling pair (see the module docstring).  words_scored
     and words_eligible count the words rescored and chosen from over the
@@ -204,11 +202,9 @@ class ClusterState:
     ):
         self.level = level
         self.C = 1 << level
-        self.store = store
         self.assignment = np.array(assignment, dtype=np.int32)
         self.matrix = class_matrix(store, self.assignment, self.C)
-        dense = self.C * store.V <= EDGE_FACTOR * len(store.counts)
-        self.bank = ContextBank(store, self.assignment, self.C) if dense else None
+        self.bank = ContextBank(store, self.assignment, self.C)
         self.pinned_mask = (
             np.zeros(store.V, dtype=bool) if pinned_mask is None else pinned_mask
         )
@@ -227,14 +223,12 @@ class ClusterState:
         return np.nonzero(movable)[0]
 
     def _shift(self, w: int, frm: int, to: int) -> None:
-        L, R = apply_move(self.matrix, self.store, self.assignment, w, frm, to, self.bank)
+        L, R = apply_move(self.matrix, self.bank, w, frm, to)
         # a word in another pair keeps its delta unless w neighbours it or
         # a member of its pair: only then do its cells or context change
         np.logical_or(self.dirty, L + R, out=self.dirty)
         self.dirty[frm] = True
-        if self.bank is not None:
-            self.bank.move(w, frm, to)
-        self.assignment[w] = to
+        self.bank.move(w, frm, to)
 
     def commit(self, w: int, to: int) -> None:
         frm = int(self.assignment[w])
@@ -261,9 +255,7 @@ def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int, int]:
     dirty = state.dirty
     stale = (dirty[0::2] | dirty[1::2])[parent]
     todo = words[stale]
-    state.delta[todo] = batch_deltas(
-        state.matrix, state.store, state.assignment, todo, frm[stale], state.bank
-    )
+    state.delta[todo] = batch_deltas(state.matrix, state.bank, todo, frm[stale])
     dirty[:] = False
     d = state.delta[words]
     state.words_scored += len(todo)

@@ -6,11 +6,13 @@ compiled patterns, sparse stores and incremental updates so the two routes
 stay independent.  build_vocabulary_oracle shares only the package's
 rare-word classifier and pseudo-label pattern.  pair_count and
 context_vectors are the scalar lookups over a BigramStore that only tests
-need.
+need.  context_source and bank_from pick where a ContextBank reads its
+counts, so a test can run one state on both sources.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import Counter
 from typing import NamedTuple
@@ -19,13 +21,20 @@ import numpy as np
 import pytest
 
 from tagsplit import (
+    ContextBank,
     TokenizerOptions,
     TokenStream,
     Vocabulary,
     classify_rare,
     count_bigrams,
 )
+from tagsplit import bigram
 from tagsplit.corpus import _PSEUDO_LABEL_RE, LEXICAL, PSEUDO, VocabEntry
+
+# EDGE_FACTOR values under which every ContextBank keeps dense rows, or
+# reads the bigram edges: C * V <= EDGE_FACTOR * pairs holds at 2**40 for
+# every store a test builds with at least one pair, and at 0 for none
+SOURCE_FACTOR = {"rows": 2**40, "edges": 0}
 
 
 def make_stream(ids, breaks=()) -> TokenStream:
@@ -74,6 +83,23 @@ def context_vectors(store, assignment, w, C) -> Context:
     ids, cnts = store.pred(w)
     np.add.at(right, assignment[ids], cnts)
     return Context(left, right, int(store.self_count[w]))
+
+
+@contextlib.contextmanager
+def context_source(source: str):
+    """Every ContextBank built inside reads its counts from `source`,
+    "rows" or "edges"."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bigram, "EDGE_FACTOR", SOURCE_FACTOR[source])
+        yield
+
+
+def bank_from(source: str, store, assignment, C) -> ContextBank:
+    """A ContextBank over `assignment` that reads its counts from `source`."""
+    with context_source(source):
+        bank = ContextBank(store, assignment, C)
+    assert bank.dense == (source == "rows")
+    return bank
 
 
 def _char_kind_oracle(ch: str) -> int:

@@ -24,6 +24,7 @@ from tagsplit import (
     LogEvalCounter,
     acmi,
     apply_move,
+    batch_deltas,
     build_vocabulary,
     class_matrix,
     cluster,
@@ -31,11 +32,11 @@ from tagsplit import (
     delta_acmi,
     oracle_min_moves,
 )
-from tagsplit import elman
+from tagsplit import elman, objective
 from tagsplit.cli import main
 from tagsplit.splitter import LevelStats
 from tagsplit.synth import markov_text
-from conftest import random_instance
+from conftest import bank_from, context_vectors, random_instance
 
 ELMAN_LEVELS = 6  # splitting rounds covering grammar levels 0..5
 
@@ -136,7 +137,7 @@ def test_criterion_1_and_2_delta_oracle_and_cost():
                 if counter.last_call > 8 * (C - 1):
                     over_budget += 1
                 after = ClassMatrix(C, matrix.counts.copy())
-                apply_move(after, store, assignment, w, frm, to)
+                apply_move(after, bank, w, frm, to)
                 worst = max(worst, abs(d - (acmi(after) - base)))
                 checked += 1
         assert over_budget == 0
@@ -147,20 +148,62 @@ def test_criterion_1_and_2_delta_oracle_and_cost():
           f"max per call <= 8(C-1) over {counter.calls} calls")
 
 
+def test_criterion_2_kernel_cost(monkeypatch):
+    # The search scores moves with batch_deltas, not with the oracle above,
+    # so criterion 2 is checked on the counts it passes to h(n) = n lg n,
+    # one log each: 4 per nonzero off-corner context cell (rows or columns
+    # a and b, after and before the move) and 16 per word for the four
+    # corners and four marginals, after and before.  The kernel takes those
+    # 16 even where they are zero, where the oracle skips zero cells and
+    # takes each marginal inside its cells' terms, so its bound differs
+    # from the oracle's 8(C-1): 16 per word at C=2, and at most
+    # 4 * 2(C-2) + 16 = 8C.
+    passed = []
+    h = objective._h
+
+    def counted(n):
+        passed.append(len(n))
+        return h(n)
+
+    monkeypatch.setattr(objective, "_h", counted)
+    calls = 0
+    for C in (2, 4, 16, 64, 1024):
+        _, assignment, store = random_instance(2000 + C, V=40, length=800, C=C)
+        matrix = class_matrix(store, assignment, C)
+        words = np.arange(store.V)
+        frm = assignment[words]
+        # m, the nonzero off-corner cells, from each word's scalar context
+        m = 0
+        for w, a in zip(words, frm):
+            ctx = context_vectors(store, assignment, w, C)
+            off = np.ones(C, dtype=bool)
+            off[[a, a ^ 1]] = False
+            m += int(np.count_nonzero(ctx.left[off]) + np.count_nonzero(ctx.right[off]))
+        for source in ("rows", "edges"):
+            passed.clear()
+            batch_deltas(matrix, bank_from(source, store, assignment, C), words, frm)
+            assert passed == [4 * m + 16 * len(words)]
+            assert passed[0] <= 8 * C * len(words)
+            calls += 1
+    check(2, "log-eval cost bound, kernel", True,
+          f"4 per off-corner cell + 16 per word <= 8C over {calls} calls")
+
+
 def test_criterion_3_matrix_integrity():
     rng = np.random.default_rng(42)
     stream, assignment, store = random_instance(777, V=60, length=2000, C=16)
     C = 16
     assignment = (assignment % C).astype(np.int32)
     matrix = class_matrix(store, assignment, C)
+    bank = ContextBank(store, assignment, C)
     for _ in range(10_000):
         w = int(rng.integers(0, store.V))
         frm = int(assignment[w])
         to = int(rng.integers(0, C))
         if to == frm:
             to = (to + 1) % C
-        apply_move(matrix, store, assignment, w, frm, to)
-        assignment[w] = to
+        apply_move(matrix, bank, w, frm, to)
+        bank.move(w, frm, to)
     rebuilt = class_matrix(store, assignment, C)
     ok = (
         np.array_equal(matrix.counts, rebuilt.counts)

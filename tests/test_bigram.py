@@ -12,6 +12,7 @@ from tagsplit import (
     count_bigrams,
 )
 from conftest import (
+    bank_from,
     class_matrix_oracle,
     context_oracle,
     context_vectors,
@@ -232,7 +233,7 @@ class TestApplyMove:
         assignment = np.array([0, 0, 0])
         m = class_matrix(store, assignment, 2)
         before = m.counts.copy()
-        apply_move(m, store, assignment, 2, 0, 1)
+        apply_move(m, ContextBank(store, assignment, 2), 2, 0, 1)
         assert np.array_equal(m.counts, before)
 
     def test_self_pair_mass_lands_once(self):
@@ -240,7 +241,7 @@ class TestApplyMove:
         store = count_bigrams(make_stream([0, 0, 0]), 2)
         assignment = np.array([0, 1])
         m = class_matrix(store, assignment, 2)
-        apply_move(m, store, assignment, 0, 0, 1)
+        apply_move(m, ContextBank(store, assignment, 2), 0, 0, 1)
         assert m.counts[0, 0] == 0
         assert m.counts[1, 1] == 2
         assert m.T == 2
@@ -250,6 +251,7 @@ class TestApplyMove:
         C = 8
         assignment = assignment % C
         m = class_matrix(store, assignment, C)
+        bank = ContextBank(store, assignment, C)
         rng = np.random.default_rng(99)
         for _ in range(1000):
             w = int(rng.integers(0, store.V))
@@ -257,8 +259,8 @@ class TestApplyMove:
             to = int(rng.integers(0, C))
             if to == frm:
                 to = (to + 1) % C
-            apply_move(m, store, assignment, w, frm, to)
-            assignment[w] = to
+            apply_move(m, bank, w, frm, to)
+            bank.move(w, frm, to)
             rebuilt = class_matrix(store, assignment, C)
             assert np.array_equal(m.counts, rebuilt.counts)
             assert np.array_equal(m.row, rebuilt.row)
@@ -269,47 +271,51 @@ class TestApplyMove:
         stream, assignment, store = random_instance(8, C=4)
         C = 4
         m = class_matrix(store, assignment, C)
+        bank = ContextBank(store, assignment, C)
         original = m.counts.copy()
         w = int(np.argmax(store.succ_total))
         frm = int(assignment[w])
         to = (frm + 1) % C
-        apply_move(m, store, assignment, w, frm, to)
-        assignment[w] = to
-        apply_move(m, store, assignment, w, to, frm)
+        apply_move(m, bank, w, frm, to)
+        bank.move(w, frm, to)
+        apply_move(m, bank, w, to, frm)
         assert np.array_equal(m.counts, original)
 
     def test_stale_context_detected(self):
         store = count_bigrams(make_stream([0, 1, 0, 1]), 2)
         assignment = np.array([0, 1])
         m = class_matrix(store, assignment, 2)
-        apply_move(m, store, assignment, 0, 0, 1)
-        # the same move again, class ids not updated: word 0 no longer
-        # holds mass in class 0
+        bank = ContextBank(store, assignment, 2)
+        apply_move(m, bank, 0, 0, 1)
+        # the same move again, bank not moved: word 0 no longer holds mass
+        # in class 0
         with pytest.raises(ConsistencyError):
-            apply_move(m, store, assignment, 0, 0, 1)
+            apply_move(m, bank, 0, 0, 1)
 
     @pytest.mark.parametrize("C", [2, 8, 64])
     def test_bank_read_matches_edge_read(self, C):
-        # where a level keeps a ContextBank, apply_move reads the word's
-        # mass from its rows; a twin matrix moved from the edges stays
-        # integer-identical, and both reads return the same (L, R)
+        # a bank with dense rows and one that reads the bigram edges give
+        # apply_move the same (L, R), and twin matrices moved through them
+        # stay integer-identical to a rebuild
         _, assignment, store = random_instance(60 + C, V=40, length=1200, C=C)
         by_edges = class_matrix(store, assignment, C)
         by_rows = class_matrix(store, assignment, C)
-        bank = ContextBank(store, assignment, C)
+        edges = bank_from("edges", store, assignment.copy(), C)
+        rows = bank_from("rows", store, assignment.copy(), C)
         rng = np.random.default_rng(C)
         # every word with a (w, w) bigram moves at least once
         movers = [*np.flatnonzero(store.self_count), *rng.integers(0, store.V, 300)]
         for w in map(int, movers):
-            frm = int(assignment[w])
+            frm = int(rows.assignment[w])
             to = (frm + int(rng.integers(1, C))) % C
-            edge_read = apply_move(by_edges, store, assignment, w, frm, to)
-            row_read = [a.copy() for a in apply_move(by_rows, store, assignment, w, frm, to, bank)]
+            edge_read = apply_move(by_edges, edges, w, frm, to)
+            row_read = [a.copy() for a in apply_move(by_rows, rows, w, frm, to)]
             for a, b in zip(edge_read, row_read):
                 assert np.array_equal(a, b)
-            bank.move(w, frm, to)
-            assignment[w] = to
-            rebuilt = class_matrix(store, assignment, C)
+            edges.move(w, frm, to)
+            rows.move(w, frm, to)
+            assert np.array_equal(edges.assignment, rows.assignment)
+            rebuilt = class_matrix(store, rows.assignment, C)
             for m in (by_edges, by_rows):
                 assert np.array_equal(m.counts, rebuilt.counts)
                 assert np.array_equal(m.row, rebuilt.row)
@@ -318,7 +324,7 @@ class TestApplyMove:
     def test_incremental_bank_matches_recompute(self):
         stream, assignment, store = random_instance(31, V=30, length=800, C=4)
         C = 4
-        bank = ContextBank(store, assignment, C)
+        bank = bank_from("rows", store, assignment, C)
         rng = np.random.default_rng(5)
         for _ in range(200):
             w = int(rng.integers(0, store.V))
@@ -327,7 +333,7 @@ class TestApplyMove:
             if to == frm:
                 continue
             bank.move(w, frm, to)
-            assignment[w] = to
+            assert assignment[w] == to
         for w in range(store.V):
             fresh = context_vectors(store, assignment, w, C)
             assert np.array_equal(bank.left[w], fresh.left)

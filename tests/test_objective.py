@@ -19,7 +19,7 @@ from tagsplit import (
     delta_acmi,
 )
 from tagsplit import objective
-from conftest import acmi_oracle, make_stream, random_instance
+from conftest import acmi_oracle, bank_from, make_stream, random_instance
 
 
 def matrix_from(counts) -> ClassMatrix:
@@ -111,7 +111,7 @@ class TestDeltaAcmi:
                         continue
                     d = delta_acmi(matrix, bank, w, frm, to)
                     after = ClassMatrix(C, matrix.counts.copy())
-                    apply_move(after, store, assignment, w, frm, to)
+                    apply_move(after, bank, w, frm, to)
                     assert d == pytest.approx(
                         acmi(after) - base, abs=1e-9 * max(1.0, abs(base))
                     )
@@ -157,7 +157,7 @@ class TestDeltaAcmi:
         assignment = np.array([0, 1])
         matrix = class_matrix(store, assignment, 2)
         bank = ContextBank(store, assignment, 2)
-        apply_move(matrix, store, assignment, 0, 0, 1)
+        apply_move(matrix, bank, 0, 0, 1)
         with pytest.raises(ConsistencyError):
             delta_acmi(matrix, bank, 0, 0, 1)
 
@@ -169,9 +169,8 @@ class TestDeltaAcmi:
         frm = int(assignment[w])
         to = (frm + 3) % 8
         d_fwd = delta_acmi(matrix, bank, w, frm, to)
-        apply_move(matrix, store, assignment, w, frm, to)
+        apply_move(matrix, bank, w, frm, to)
         bank.move(w, frm, to)
-        assignment[w] = to
         d_back = delta_acmi(matrix, bank, w, to, frm)
         assert d_fwd + d_back == pytest.approx(0.0, abs=1e-10)
 
@@ -187,6 +186,7 @@ class TestLineTerms:
         if seed % 3 == 0:
             assignment &= ~1
         matrix = class_matrix(store, assignment, C)
+        bank = ContextBank(store, assignment, C)
         rng = np.random.default_rng(seed)
         parents = rng.choice(C // 2, int(rng.integers(1, C // 2 + 1)), replace=False)
         touched = np.concatenate((2 * parents, 2 * parents + 1))
@@ -195,8 +195,8 @@ class TestLineTerms:
         for w in rng.permutation(store.V)[: store.V // 2]:
             frm = int(assignment[w])
             if frm >> 1 in parents:
-                apply_move(matrix, store, assignment, int(w), frm, frm ^ 1)
-                assignment[w] = frm ^ 1
+                apply_move(matrix, bank, int(w), frm, frm ^ 1)
+                bank.move(int(w), frm, frm ^ 1)
         change = objective.line_terms(matrix, touched) - before
         assert change / matrix.T == pytest.approx(acmi(matrix) - start, abs=1e-12)
 
@@ -209,11 +209,11 @@ def scalar_deltas(matrix, bank, words, frm):
 
 
 def both_sources(matrix, store, assignment, words, frm):
-    """batch_deltas from the bigram edges and from dense bank rows; the two
-    must agree to the bit.  Returns the deltas and the oracle's bank."""
-    bank = ContextBank(store, assignment, matrix.C)
-    d = batch_deltas(matrix, store, assignment, words, frm)
-    assert np.array_equal(d, batch_deltas(matrix, store, assignment, words, frm, bank))
+    """batch_deltas from the bigram edges and from dense rows; the two must
+    agree to the bit.  Returns the deltas and a bank for the oracle."""
+    bank = bank_from("rows", store, assignment, matrix.C)
+    d = batch_deltas(matrix, bank_from("edges", store, assignment, matrix.C), words, frm)
+    assert np.array_equal(d, batch_deltas(matrix, bank, words, frm))
     return d, bank
 
 
@@ -280,41 +280,39 @@ class TestBatchDeltas:
         assert empty.shape == (0,)
 
     def test_stale_bank_detected(self):
-        # the matrix already holds word 0's move; the bank and class ids do not
+        # the matrix already holds word 0's move; the bank does not
         store = count_bigrams(make_stream([0, 1, 0, 1]), 2)
         assignment = np.array([0, 1])
         matrix = class_matrix(store, assignment, 2)
-        bank = ContextBank(store, assignment, 2)
-        apply_move(matrix, store, assignment, 0, 0, 1)
-        for source in (bank, None):
+        apply_move(matrix, ContextBank(store, assignment, 2), 0, 0, 1)
+        for source in ("rows", "edges"):
+            bank = bank_from(source, store, assignment, 2)
             with pytest.raises(ConsistencyError):
-                batch_deltas(matrix, store, assignment, np.array([0]), np.array([0]), source)
+                batch_deltas(matrix, bank, np.array([0]), np.array([0]))
 
     def test_stale_off_corner_cell_detected(self):
         # C=4: word 0's successors sit in class 2, off the (0,1) corners
         store = count_bigrams(make_stream([0, 2, 0, 2, 1, 3]), 4)
         assignment = np.array([0, 1, 2, 3])
         matrix = class_matrix(store, assignment, 4)
-        bank = ContextBank(store, assignment, 4)
+        bank = bank_from("rows", store, assignment, 4)
         matrix.counts[0, 2] -= 1
         with pytest.raises(ConsistencyError, match="word 0"):
-            batch_deltas(matrix, store, assignment, np.array([1, 0]), np.array([1, 0]), bank)
+            batch_deltas(matrix, bank, np.array([1, 0]), np.array([1, 0]))
 
 
     @pytest.mark.parametrize("C", [2, 64])
-    @pytest.mark.parametrize("with_bank", [False, True])
-    def test_state_is_read_only(self, C, with_bank):
-        # the corners are zeroed in a gathered copy of the bank rows, never
-        # in the bank itself
+    @pytest.mark.parametrize("rows", [False, True])
+    def test_state_is_read_only(self, C, rows):
+        # the corners are zeroed in a gathered copy of the rows, never in
+        # the rows themselves
         _, assignment, store = random_instance(5, V=40, length=800, C=C)
         matrix = class_matrix(store, assignment, C)
-        bank = ContextBank(store, assignment, C)
+        bank = bank_from("rows" if rows else "edges", store, assignment, C)
         state = (matrix.counts, matrix.row, matrix.col, bank.left, bank.right, assignment)
         snapshot = [x.copy() for x in state]
         words = np.arange(store.V)
-        batch_deltas(
-            matrix, store, assignment, words, assignment[words], bank if with_bank else None
-        )
+        batch_deltas(matrix, bank, words, assignment[words])
         for now, before in zip(state, snapshot):
             assert np.array_equal(now, before)
 
@@ -328,11 +326,11 @@ class TestBatchDeltas:
         assignment = np.array([0, 1, 2, 3])
         matrix = class_matrix(store, assignment, 4)
         matrix.counts[0, 2] -= 1
-        bank = ContextBank(store, assignment, 4)
         words = np.array([2, 0])
-        for source in (bank, None):
+        for source in ("rows", "edges"):
+            bank = bank_from(source, store, assignment, 4)
             with pytest.raises(ConsistencyError, match=r"cell count for word 0;"):
-                batch_deltas(matrix, store, assignment, words, assignment[words], source)
+                batch_deltas(matrix, bank, words, assignment[words])
         # (2) word 4's corner (2, 3) and word 0's predecessor cell N[2, 0]:
         # the predecessor cell wins
         store = count_bigrams(make_stream([0, 2, 0, 2, 4, 5], breaks=[4]), 6)
@@ -340,31 +338,31 @@ class TestBatchDeltas:
         matrix = class_matrix(store, assignment, 4)
         matrix.counts[2, 0] -= 1
         matrix.counts[2, 3] -= 1
-        bank = ContextBank(store, assignment, 4)
         words = np.array([4, 0])
-        for source in (bank, None):
+        for source in ("rows", "edges"):
+            bank = bank_from(source, store, assignment, 4)
             with pytest.raises(ConsistencyError, match=r"cell count for word 0;"):
-                batch_deltas(matrix, store, assignment, words, assignment[words], source)
+                batch_deltas(matrix, bank, words, assignment[words])
             # word 4 alone: its corner is named as a corner
             with pytest.raises(ConsistencyError, match=r"corner count for word 4;"):
-                batch_deltas(matrix, store, assignment, words[:1], np.array([2]), source)
+                batch_deltas(matrix, bank, words[:1], np.array([2]))
 
 
 class TestContextCellBranches:
-    """batch_deltas lists context cells from dense bank rows at the levels
-    that keep a bank and from the bigram edges and class ids at the levels
-    that do not; the two must give bit-identical deltas.  A ContextBank is
-    built here only as the dense branch's and the oracle's input."""
+    """ContextBank.cells lists context cells from dense rows at the levels
+    that keep them and from the bigram edges and class ids at the levels
+    that do not; the two must give bit-identical deltas."""
 
     def _moved_instance(self, seed, C):
         # class ids and a matrix that have followed some moves
         _, assignment, store = random_instance(seed, V=40, length=600, C=C)
         matrix = class_matrix(store, assignment, C)
+        bank = bank_from("edges", store, assignment, C)
         rng = np.random.default_rng(seed)
         for w in rng.integers(0, store.V, 15):
             frm = int(assignment[w])
-            apply_move(matrix, store, assignment, int(w), frm, frm ^ 1)
-            assignment[w] = frm ^ 1
+            apply_move(matrix, bank, int(w), frm, frm ^ 1)
+            bank.move(int(w), frm, frm ^ 1)
         return store, assignment, matrix
 
     @pytest.mark.parametrize("C", [2, 4, 64, 256, 1024])
@@ -373,10 +371,13 @@ class TestContextCellBranches:
         store, assignment, matrix = self._moved_instance(100 + seed, C)
         words = np.arange(store.V)
         frm = assignment[words]
-        d, bank = both_sources(matrix, store, assignment, words, frm)
-        assert np.allclose(d, scalar_deltas(matrix, bank, words, frm), rtol=0, atol=1e-9)
+        d, rows = both_sources(matrix, store, assignment, words, frm)
+        edges = bank_from("edges", store, assignment, C)
+        # the scalar oracle reads either source
+        for bank in (rows, edges):
+            assert np.allclose(d, scalar_deltas(matrix, bank, words, frm), rtol=0, atol=1e-9)
         part = words[::3]
-        assert np.array_equal(batch_deltas(matrix, store, assignment, part, frm[part]), d[::3])
+        assert np.array_equal(batch_deltas(matrix, edges, part, frm[part]), d[::3])
 
     def test_wide_counts_sum_exactly(self):
         # distinct counts of 48 bits at C=1024, the widest that 20 words
@@ -400,11 +401,12 @@ class TestContextCellBranches:
         words, frm = np.array([1, 0]), np.array([1, 0])
         matrix.counts[0, 2] -= 1
         with pytest.raises(ConsistencyError, match="word 0"):
-            batch_deltas(matrix, store, assignment, words, frm)
+            batch_deltas(matrix, bank_from("edges", store, assignment, 4), words, frm)
         # a corner: word 0 -> word 1 twice, both in class 0
         store = count_bigrams(make_stream([0, 1, 0, 1]), 2)
         assignment = np.array([0, 0])
         matrix = class_matrix(store, assignment, 2)
         matrix.counts[0, 0] -= 2
+        bank = bank_from("edges", store, assignment, 2)
         with pytest.raises(ConsistencyError, match="corner count for word 0"):
-            batch_deltas(matrix, store, assignment, np.array([0]), np.array([0]))
+            batch_deltas(matrix, bank, np.array([0]), np.array([0]))

@@ -25,11 +25,12 @@ from tagsplit import (
     run_level,
 )
 from tagsplit import splitter
-from tagsplit.objective import EDGE_FACTOR
+from tagsplit.bigram import EDGE_FACTOR
 from tagsplit.synth import markov_text
 from conftest import (
     acmi_oracle,
     class_matrix_oracle,
+    context_source,
     context_vectors,
     make_stream,
     random_instance,
@@ -186,27 +187,31 @@ class TestCommitRetract:
         pool = np.flatnonzero(store.self_count > 0) if self_pair else np.arange(store.V)
         assume(len(pool))
         w = int(pool[pick % len(pool)])
-        state = ClusterState(store, assignment, level)
-        m, bank = state.matrix, state.bank
+        for source in ("rows", "edges"):
+            with context_source(source):
+                state = ClusterState(store, assignment, level)
+            m, bank = state.matrix, state.bank
 
-        def snapshot():
-            rows = () if bank is None else (bank.left, bank.right)
-            return [a.copy() for a in (m.counts, m.row, m.col, state.assignment, *rows)]
+            def snapshot():
+                return [
+                    a.copy()
+                    for a in (m.counts, m.row, m.col, state.assignment, bank.left, bank.right)
+                ]
 
-        before = snapshot()
-        frm = int(state.assignment[w])
-        state.commit(w, frm ^ 1)
-        assert state.moved == [w]
-        assert state.assignment[w] == frm ^ 1
-        assert np.array_equal(m.counts, class_matrix(store, state.assignment, C).counts)
-        if bank is not None:
+            before = snapshot()
+            frm = int(state.assignment[w])
+            state.commit(w, frm ^ 1)
+            assert state.moved == [w]
+            assert state.assignment[w] == frm ^ 1
+            assert np.array_equal(m.counts, class_matrix(store, state.assignment, C).counts)
             for v in range(store.V):
                 fresh = context_vectors(store, state.assignment, v, C)
-                assert np.array_equal(bank.left[v], fresh.left)
-                assert np.array_equal(bank.right[v], fresh.right)
-        state.retract(w, frm)
-        for old, new in zip(before, snapshot()):
-            assert np.array_equal(old, new)
+                L, R = bank.context(v)
+                assert np.array_equal(L, fresh.left)
+                assert np.array_equal(R, fresh.right)
+            state.retract(w, frm)
+            for old, new in zip(before, snapshot()):
+                assert np.array_equal(old, new)
 
     @pytest.mark.parametrize("level", [1, 3, 5, 7, 10])
     def test_move_sequences_match_rebuild(self, level):
@@ -216,7 +221,7 @@ class TestCommitRetract:
         C = 1 << level
         _, assignment, store = random_instance(40 + level, V=60, length=1500, C=C)
         state = ClusterState(store, assignment, level)
-        assert (state.bank is None) == (level >= 7)
+        assert state.bank.dense == (level < 7)
         rng = np.random.default_rng(level)
         for step in range(300):
             w = int(rng.integers(0, store.V))
@@ -229,7 +234,7 @@ class TestCommitRetract:
             assert np.array_equal(state.matrix.counts, rebuilt.counts)
             assert np.array_equal(state.matrix.row, rebuilt.row)
             assert np.array_equal(state.matrix.col, rebuilt.col)
-        if state.bank is not None:
+        if state.bank.dense:
             fresh = ContextBank(store, state.assignment, C)
             assert np.array_equal(state.bank.left, fresh.left)
             assert np.array_equal(state.bank.right, fresh.right)
@@ -242,12 +247,12 @@ class TestContextBankChoice:
         for level in range(1, 11):
             state = ClusterState(store, assignment, level)
             dense = (1 << level) * store.V <= EDGE_FACTOR * len(store.counts)
-            assert (state.bank is not None) == dense
-            if dense:
-                assert state.bank.left.shape == state.bank.right.shape == (store.V, 1 << level)
+            assert state.bank.dense == dense
+            rows = store.V if dense else 0
+            assert state.bank.left.shape == state.bank.right.shape == (rows, 1 << level)
 
     def test_no_bank_allocated_above_the_crossover(self, monkeypatch):
-        # every ContextBank a run builds, by class count
+        # every ContextBank a run builds with dense rows, by class count
         vocab, stream = build_vocabulary(
             markov_text(20_000, n_types=10_000, n_states=24, seed=7), 200
         )
@@ -256,8 +261,9 @@ class TestContextBankChoice:
         init = ContextBank.__init__
 
         def counted(bank, store, assignment, C):
-            built.append(C)
             init(bank, store, assignment, C)
+            if bank.left.size:
+                built.append(C)
 
         monkeypatch.setattr(ContextBank, "__init__", counted)
         cluster(vocab, store, ClusterConfig(strategy="znrp", levels=10))
@@ -272,10 +278,9 @@ class TestContextBankChoice:
 def reference_deltas(state):
     """Scalar delta_acmi for every eligible word, in word order."""
     words = state.eligible_words()
-    bank = ContextBank(state.store, state.assignment, state.C)
     return words, np.array([
         delta_acmi(
-            state.matrix, bank, int(w),
+            state.matrix, state.bank, int(w),
             int(state.assignment[w]), int(state.assignment[w]) ^ 1,
         )
         for w in words
@@ -350,7 +355,7 @@ class TestSearchSelection:
         rng = np.random.default_rng(seed)
         planted = {}
 
-        def tied(matrix, store, assignment, words, frm, bank=None):
+        def tied(matrix, bank, words, frm):
             d = rng.choice([-1e-3, 0.0, 2e-3, 5e-3], len(words))
             planted["latest"][words] = d
             return d
@@ -359,7 +364,7 @@ class TestSearchSelection:
         checked = kept = 0
         for state in search_states():
             per_parent = state.level == 1 and seed % 2 == 1
-            planted["latest"] = np.full(state.store.V, np.nan)
+            planted["latest"] = np.full(len(state.assignment), np.nan)
             for _ in range(5):
                 n_moves, n_scored = len(state.moved), state.words_scored
                 words = state.eligible_words()
@@ -465,7 +470,7 @@ class TestSearchSelection:
         def checked_step(state, per_parent):
             words = state.eligible_words()
             frm = state.assignment[words]
-            full = kernel(state.matrix, state.store, state.assignment, words, frm, state.bank)
+            full = kernel(state.matrix, state.bank, words, frm)
             scored = state.words_scored
             out = step(state, per_parent)
             assert np.array_equal(state.delta[words], full)
@@ -495,12 +500,12 @@ class TestSearchSelection:
         kernel = splitter.batch_deltas
         calls = []
 
-        def spy(matrix, store, assignment, words, frm, bank):
+        def spy(matrix, bank, words, frm):
             sizes = np.bincount(state.assignment, minlength=state.C)
             calls.append(words.tolist())
             assert not pinned[words].any()
             assert (sizes[state.assignment[words]] >= 2).all()
-            return kernel(matrix, store, assignment, words, frm, bank)
+            return kernel(matrix, bank, words, frm)
 
         monkeypatch.setattr(splitter, "batch_deltas", spy)
         for strategy in ("znr", "znrp"):
