@@ -25,7 +25,7 @@ tags, stats = cluster(vocab, store, pinned)
 bits = tags.bits_by_surface()
 assert all(bits[w].startswith("1") for w in verbs)
 moved = {w for s in stats for w in s.moved_words}
-assert not moved & {vocab.id_of(w) for w in verbs}
+assert not moved & {vocab.index[w] for w in verbs}
 
 print("\nnoun subtree ('0...') gets the full class space:")
 for r in sorted(tags.rows, key=lambda r: r.bits):

@@ -11,14 +11,7 @@ purity metric for end-to-end checks; cli wires it all to the shell.
 
 __version__ = "0.1.0"
 
-from .bigram import (
-    BigramStore,
-    ClassMatrix,
-    ContextBank,
-    apply_move,
-    class_matrix,
-    count_bigrams,
-)
+from .bigram import BigramStore, ClassMatrix, class_matrix, count_bigrams
 from .corpus import (
     TokenizerOptions,
     TokenStream,
@@ -35,34 +28,28 @@ from .errors import (
     TagsplitError,
     UndefinedObjectiveError,
 )
-from .objective import EPSILON, LogEvalCounter, acmi, batch_deltas, delta_acmi
+from .objective import EPSILON, acmi
 from .splitter import (
     MAX_LEVELS,
     STRATEGIES,
     ClusterConfig,
-    ClusterState,
     LevelStats,
     TagRow,
     TagTable,
     cluster,
-    init_level,
     oracle_min_moves,
-    run_level,
 )
 
 __all__ = [
     "BigramStore",
     "ClassMatrix",
     "ClusterConfig",
-    "ClusterState",
     "ConfigError",
     "ConsistencyError",
-    "ContextBank",
     "CoverageError",
     "EPSILON",
     "IngestionError",
     "LevelStats",
-    "LogEvalCounter",
     "MAX_LEVELS",
     "STRATEGIES",
     "TagRow",
@@ -73,16 +60,11 @@ __all__ = [
     "UndefinedObjectiveError",
     "Vocabulary",
     "acmi",
-    "apply_move",
-    "batch_deltas",
     "build_vocabulary",
     "class_matrix",
     "classify_rare",
     "cluster",
     "count_bigrams",
-    "delta_acmi",
-    "init_level",
     "oracle_min_moves",
-    "run_level",
     "tokenize",
 ]

@@ -203,12 +203,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.entries)
 
-    def id_of(self, surface: str) -> int:
-        return self.index[surface]
-
-    def surface_of(self, word_id: int) -> str:
-        return self.entries[word_id].surface
-
 
 @dataclass
 class TokenStream:
@@ -224,9 +218,6 @@ class TokenStream:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def decode(self, vocab: Vocabulary) -> list[str]:
-        return [vocab.surface_of(int(i)) for i in self.ids]
-
 
 def build_vocabulary(
     segments: Iterable[list[str]], top_k: int
@@ -236,7 +227,7 @@ def build_vocabulary(
     The top_k most frequent distinct tokens become lexical entries (ties at
     the cut broken lexicographically); every other token is replaced by its
     pseudo-group label.  Tokens that already look like pseudo-group labels
-    map straight to their group, which makes decode + rebuild a fixed point.
+    map straight to their group, so decoding and rebuilding is a fixed point.
     Segments are concatenated without their BREAK ("\\n") tokens; the
     stream breaks wherever a segment's end or a BREAK token, one inside a
     caller's segment included, has tokens on both sides.  segments may be

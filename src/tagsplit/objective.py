@@ -26,13 +26,11 @@ in the same order, so both give the same deltas to the bit.  line_terms
 sums the h-terms of a set of rows and columns, so a commit confined to
 them is booked exactly.  delta_acmi is the scalar reference: it
 re-evaluates the two rows and columns before and after the move from the
-word's ContextBank.context, at most 8(C-1) log terms, and an optional
-counter counts them.
+word's ContextBank.context, one masked p lg(p / (pl pr)) pass over the
+nonzero cells of each state, at most 8(C-1) log terms in all.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -42,24 +40,6 @@ from .errors import ConsistencyError, UndefinedObjectiveError
 # Improvement threshold: deltas in (-EPSILON, EPSILON] are non-improving,
 # so floating-point noise can never drive the search loops.
 EPSILON = 1e-12
-
-class LogEvalCounter:
-    """Counts log-term evaluations inside delta_acmi."""
-
-    __slots__ = ("last_call", "total", "calls")
-
-    def __init__(self) -> None:
-        self.last_call = 0
-        self.total = 0
-        self.calls = 0
-
-    def _begin(self) -> None:
-        self.last_call = 0
-        self.calls += 1
-
-    def _add(self, n: int) -> None:
-        self.last_call += n
-        self.total += n
 
 
 def acmi(matrix: ClassMatrix) -> float:
@@ -81,52 +61,32 @@ def acmi(matrix: ClassMatrix) -> float:
     return value
 
 
-def _cell_term(x: int, rm: int, cm: int, T: float, counter: LogEvalCounter | None) -> float:
-    if x <= 0:
-        return 0.0
-    if counter is not None:
-        counter._add(1)
-    return (x / T) * math.log2((x * T) / (float(rm) * float(cm)))
+def _plogp(x: np.ndarray, line: np.ndarray, cross: np.ndarray, T: float) -> float:
+    # sum of p lg(p / (pl pr)) over cells of counts x, where line and cross
+    # are the marginals of each cell's own line and of the line crossing it
+    return float(np.dot(x, np.log2((x * T) / (line * cross)))) / T
 
 
-def _lines_sum(
-    row_a, row_b, rm_a, rm_b,
-    col_a, col_b, cm_a, cm_b,
-    rows_marg, cols_marg, a, b, T,
-    counter: LogEvalCounter | None,
-) -> float:
+def _lines_sum(row_a, row_b, col_a, col_b, row, col, a, b, T) -> float:
     """Term sum over rows {a, b} and columns {a, b} of one matrix state.
 
-    The four intersection cells are evaluated exactly once, from the
-    explicit corner values in row_a/row_b.  One fused masked pass covers
-    the remaining 4C - 8 cells, so a call evaluates at most 4(C - 1)
-    log terms.
+    row_a and row_b are whole rows; col_a and col_b are the columns without
+    rows a and b, so each intersection cell counts once, in its row.  row
+    and col are the state's marginals.  One masked pass over the nonzero
+    cells takes at most 2C + 2(C - 2) = 4(C - 1) log terms.
     """
-    C = len(row_a)
     vals = np.concatenate((row_a, row_b, col_a, col_b)).astype(np.float64)
-    # zero the corners inside every block; they get scalar treatment below
-    for base in (0, C, 2 * C, 3 * C):
-        vals[base + a] = 0.0
-        vals[base + b] = 0.0
-    line = np.repeat(np.array([rm_a, rm_b, cm_a, cm_b], dtype=np.float64), C)
-    cross = np.concatenate((cols_marg, cols_marg, rows_marg, rows_marg)).astype(np.float64)
+    line = np.repeat(
+        np.array([row[a], row[b], col[a], col[b]], dtype=np.float64),
+        [len(row_a), len(row_b), len(col_a), len(col_b)],
+    )
+    other = np.delete(row, (a, b))
+    cross = np.concatenate((col, col, other, other)).astype(np.float64)
     m = vals > 0.0
-    s = 0.0
-    if m.any():
-        x = vals[m]
-        if counter is not None:
-            counter._add(int(m.sum()))
-        s = float(np.dot(x, np.log2((x * T) / (line[m] * cross[m])))) / T
-    s += _cell_term(int(row_a[a]), rm_a, cm_a, T, counter)
-    s += _cell_term(int(row_a[b]), rm_a, cm_b, T, counter)
-    s += _cell_term(int(row_b[a]), rm_b, cm_a, T, counter)
-    s += _cell_term(int(row_b[b]), rm_b, cm_b, T, counter)
-    return s
+    return _plogp(vals[m], line[m], cross[m], T)
 
 
-def pair_before_sum(
-    matrix: ClassMatrix, a: int, b: int, counter: LogEvalCounter | None = None
-) -> float:
+def pair_before_sum(matrix: ClassMatrix, a: int, b: int) -> float:
     """Term sum over rows {a, b} and columns {a, b} of the current matrix.
 
     This is the "before" half of delta_acmi; it depends only on the class
@@ -134,21 +94,12 @@ def pair_before_sum(
     """
     N = matrix.counts
     return _lines_sum(
-        N[a, :], N[b, :], int(matrix.row[a]), int(matrix.row[b]),
-        N[:, a], N[:, b], int(matrix.col[a]), int(matrix.col[b]),
+        N[a], N[b], np.delete(N[:, a], (a, b)), np.delete(N[:, b], (a, b)),
         matrix.row, matrix.col, a, b, float(matrix.T),
-        counter,
     )
 
 
-def delta_acmi(
-    matrix: ClassMatrix,
-    bank: ContextBank,
-    w: int,
-    frm: int,
-    to: int,
-    counter: LogEvalCounter | None = None,
-) -> float:
+def delta_acmi(matrix: ClassMatrix, bank: ContextBank, w: int, frm: int, to: int) -> float:
     """Change in ACMI if word w moved frm -> to; matrix and bank are untouched.
 
     Only cells in rows {frm, to} and columns {frm, to} can change, so the
@@ -161,48 +112,34 @@ def delta_acmi(
         raise ValueError("delta_acmi requires frm != to")
     if matrix.T == 0:
         raise UndefinedObjectiveError("ACMI is undefined on an empty matrix (T = 0)")
-    if counter is not None:
-        counter._begin()
     N = matrix.counts
-    row, col = matrix.row, matrix.col
-    T = float(matrix.T)
     a, b = frm, to
     L, R = bank.context(w)
     f = int(bank.store.self_count[w])
-    sL = int(L.sum())
-    sR = int(R.sum())
 
-    before_sum = pair_before_sum(matrix, a, b, counter)
-
-    row_a2 = N[a, :] - L
-    row_b2 = N[b, :] + L
-    col_a2 = N[:, a] - R
-    col_b2 = N[:, b] + R
+    row_a2 = N[a] - L
+    row_b2 = N[b] + L
     # exact post-move corner cells; the (w,w) mass lands on (to,to)
-    row_a2[a] = col_a2[a] = N[a, a] - L[a] - R[a] + f
-    row_a2[b] = col_b2[a] = N[a, b] - L[b] + R[a] - f
-    row_b2[a] = col_a2[b] = N[b, a] + L[a] - R[b] - f
-    row_b2[b] = col_b2[b] = N[b, b] + L[b] + R[b] + f
-    rm_a2, rm_b2 = int(row[a]) - sL, int(row[b]) + sL
-    cm_a2, cm_b2 = int(col[a]) - sR, int(col[b]) + sR
-
-    if min(row_a2.min(), row_b2.min(), col_a2.min(), col_b2.min()) < 0:
+    row_a2[a] = N[a, a] - L[a] - R[a] + f
+    row_a2[b] = N[a, b] - L[b] + R[a] - f
+    row_b2[a] = N[b, a] + L[a] - R[b] - f
+    row_b2[b] = N[b, b] + L[b] + R[b] + f
+    col_a2 = np.delete(N[:, a] - R, (a, b))
+    col_b2 = np.delete(N[:, b] + R, (a, b))
+    if min(row_a2.min(), row_b2.min(), col_a2.min(initial=0), col_b2.min(initial=0)) < 0:
         raise ConsistencyError(
             f"negative post-move count for word {w} ({frm}->{to}); "
             "context vectors are stale"
         )
 
-    row2 = row.copy()
-    col2 = col.copy()
-    row2[a], row2[b] = rm_a2, rm_b2
-    col2[a], col2[b] = cm_a2, cm_b2
-    after = _lines_sum(
-        row_a2, row_b2, rm_a2, rm_b2,
-        col_a2, col_b2, cm_a2, cm_b2,
-        row2, col2, a, b, T,
-        counter,
-    )
-    return after - before_sum
+    # w's successor mass leaves row a for row b, its predecessor mass
+    # column a for column b
+    sL, sR = int(L.sum()), int(R.sum())
+    row2, col2 = matrix.row.copy(), matrix.col.copy()
+    row2[a], row2[b] = row2[a] - sL, row2[b] + sL
+    col2[a], col2[b] = col2[a] - sR, col2[b] + sR
+    after = _lines_sum(row_a2, row_b2, col_a2, col_b2, row2, col2, a, b, float(matrix.T))
+    return after - pair_before_sum(matrix, a, b)
 
 
 def _h(n: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ stay independent.  build_vocabulary_oracle shares only the package's
 rare-word classifier and pseudo-label pattern.  pair_count and
 context_vectors are the scalar lookups over a BigramStore that only tests
 need.  context_source and bank_from pick where a ContextBank reads its
-counts, so a test can run one state on both sources.
+counts, so a test can run one state on both sources.  plogp_cells counts
+the scalar oracle's logs.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ import numpy as np
 import pytest
 
 from tagsplit import (
-    ContextBank,
     TokenizerOptions,
     TokenStream,
     Vocabulary,
     classify_rare,
     count_bigrams,
 )
-from tagsplit import bigram
+from tagsplit import bigram, objective
+from tagsplit.bigram import ContextBank
 from tagsplit.corpus import _PSEUDO_LABEL_RE, LEXICAL, PSEUDO, VocabEntry
 
 # EDGE_FACTOR values under which every ContextBank keeps dense rows, or
@@ -238,3 +239,17 @@ def random_instance(seed, V=None, length=None, C=4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def plogp_cells(monkeypatch):
+    """The cell count of each objective._plogp call: the oracle's logs."""
+    passed = []
+    plogp = objective._plogp
+
+    def counted(x, line, cross, T):
+        passed.append(len(x))
+        return plogp(x, line, cross, T)
+
+    monkeypatch.setattr(objective, "_plogp", counted)
+    return passed

@@ -20,19 +20,16 @@ import pytest
 from tagsplit import (
     ClassMatrix,
     ClusterConfig,
-    ContextBank,
-    LogEvalCounter,
     acmi,
-    apply_move,
-    batch_deltas,
     build_vocabulary,
     class_matrix,
     cluster,
     count_bigrams,
-    delta_acmi,
     oracle_min_moves,
 )
 from tagsplit import elman, objective
+from tagsplit.bigram import ContextBank, apply_move
+from tagsplit.objective import batch_deltas, delta_acmi
 from tagsplit.cli import main
 from tagsplit.splitter import LevelStats
 from tagsplit.synth import markov_text
@@ -102,22 +99,22 @@ def vocab_of_size(tokens, V_target: int):
 def speed_comparison(bench_corpus):
     vocab, stream = vocab_of_size(bench_corpus, 512)
     store = count_bigrams(stream, vocab.size)
-    t0 = time.perf_counter()
-    _, stats = cluster(vocab, store, ClusterConfig(strategy="znrp", levels=10))
-    t_znrp = time.perf_counter() - t0
-    RUN_REGISTRY.append(("speed-znrp", stats))
-    t_m = []
-    for seed in (1, 2, 3):
-        t0 = time.perf_counter()
-        _, stats = cluster(vocab, store, ClusterConfig(strategy="m", levels=10, seed=seed))
-        t_m.append(time.perf_counter() - t0)
-        RUN_REGISTRY.append((f"speed-m-{seed}", stats))
-    return t_znrp, t_m
+    runs = [("speed-znrp", ClusterConfig(strategy="znrp", levels=10))] + [
+        (f"speed-m-{seed}", ClusterConfig(strategy="m", levels=10, seed=seed))
+        for seed in (1, 2, 3)
+    ]
+    wall, cpu = [], []
+    for name, config in runs:
+        t0, c0 = time.perf_counter(), time.process_time()
+        _, stats = cluster(vocab, store, config)
+        wall.append(time.perf_counter() - t0)
+        cpu.append(time.process_time() - c0)
+        RUN_REGISTRY.append((name, stats))
+    return wall, cpu
 
 
-def test_criterion_1_and_2_delta_oracle_and_cost():
+def test_criterion_1_and_2_delta_oracle_and_cost(plogp_cells):
     t0 = time.perf_counter()
-    counter = LogEvalCounter()
     worst = 0.0
     checked = 0
     for i in range(20):
@@ -133,8 +130,9 @@ def test_criterion_1_and_2_delta_oracle_and_cost():
             for to in range(C):
                 if to == frm:
                     continue
-                d = delta_acmi(matrix, bank, w, frm, to, counter)
-                if counter.last_call > 8 * (C - 1):
+                plogp_cells.clear()
+                d = delta_acmi(matrix, bank, w, frm, to)
+                if sum(plogp_cells) > 8 * (C - 1):
                     over_budget += 1
                 after = ClassMatrix(C, matrix.counts.copy())
                 apply_move(after, bank, w, frm, to)
@@ -145,7 +143,7 @@ def test_criterion_1_and_2_delta_oracle_and_cost():
     check(1, "delta oracle", worst <= 1e-9 and elapsed < 10.0,
           f"{checked} moves, worst |err| {worst:.2e}, {elapsed:.1f}s")
     check(2, "log-eval cost bound", True,
-          f"max per call <= 8(C-1) over {counter.calls} calls")
+          f"max per call <= 8(C-1) over {checked} calls")
 
 
 def test_criterion_2_kernel_cost(monkeypatch):
@@ -268,11 +266,14 @@ def test_criterion_7_cli_determinism(tmp_path):
 
 
 def test_criterion_8_speed_ratio(speed_comparison):
-    t_znrp, t_m = speed_comparison
+    # wall seconds decide; the process CPU seconds are printed beside them
+    # to tell a slow host from a slow search
+    (t_znrp, *t_m), (c_znrp, *c_m) = speed_comparison
     floor = 0.5 * min(t_m)
     check(8, "speed ratio znrp vs m", t_znrp <= floor,
           f"znrp {t_znrp:.1f}s vs m runs {[round(t,1) for t in t_m]}s "
-          f"(ratio {min(t_m)/t_znrp:.2f}x, floor 2x)")
+          f"(ratio {min(t_m)/t_znrp:.2f}x, floor 2x; CPU znrp {c_znrp:.2f}s "
+          f"vs m runs {[round(c, 2) for c in c_m]}s, ratio {min(c_m)/c_znrp:.2f}x)")
 
 
 def test_criterion_9_random_init_spread(bench_corpus):
@@ -335,7 +336,7 @@ def test_criterion_11_pinning():
         s.level == b.level for s, b in zip(stats, baseline_stats)
     )
 
-    pinned_ids = {vocab.id_of(w) for w in verbs}
+    pinned_ids = {vocab.index[w] for w in verbs}
     moved = set()
     for s in stats:
         moved.update(s.moved_words)

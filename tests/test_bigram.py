@@ -3,14 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagsplit import (
-    BigramStore,
-    ConsistencyError,
-    ContextBank,
-    apply_move,
-    class_matrix,
-    count_bigrams,
-)
+from tagsplit import BigramStore, ConsistencyError, class_matrix, count_bigrams
+from tagsplit.bigram import ContextBank, apply_move
 from conftest import (
     bank_from,
     class_matrix_oracle,

@@ -474,9 +474,9 @@ class TestCorpusLoading:
         empty.write_text("\n")
         b.write_text("z w")
         vocab, stream, store = build_pipeline([a, empty, b], 10, False, "none")
-        assert stream.decode(vocab) == ["x", "y", "z", "w"]
+        assert [vocab.entries[i].surface for i in stream.ids] == ["x", "y", "z", "w"]
         assert stream.breaks.tolist() == [2]
-        assert pair_count(store, vocab.id_of("y"), vocab.id_of("z")) == 0
+        assert pair_count(store, vocab.index["y"], vocab.index["z"]) == 0
         assert store.T == 2
 
     def test_ingest_never_holds_the_corpus_as_strings(self, tmp_path):

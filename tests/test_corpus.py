@@ -200,7 +200,7 @@ class TestBuildVocabulary:
         vocab, stream = build_vocabulary([tokens], 10)
         assert all(e.kind == LEXICAL for e in vocab.entries)
         assert vocab.size == 3
-        decoded = stream.decode(vocab)
+        decoded = [vocab.entries[i].surface for i in stream.ids]
         assert decoded == tokens
 
     def test_frequency_conservation(self, rng):
@@ -213,7 +213,7 @@ class TestBuildVocabulary:
     def test_round_trip_fixed_point(self, rng):
         tokens = [f"w{int(i)}" if i < 5 else str(int(i)) for i in rng.integers(0, 30, 500)]
         vocab1, stream1 = build_vocabulary([tokens], 4)
-        decoded = stream1.decode(vocab1)
+        decoded = [vocab1.entries[i].surface for i in stream1.ids]
         vocab2, stream2 = build_vocabulary([decoded], 4)
         assert [
             (e.surface, e.frequency, e.kind) for e in vocab1.entries

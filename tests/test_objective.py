@@ -8,17 +8,14 @@ from tagsplit import (
     BigramStore,
     ClassMatrix,
     ConsistencyError,
-    ContextBank,
-    LogEvalCounter,
     UndefinedObjectiveError,
     acmi,
-    apply_move,
-    batch_deltas,
     class_matrix,
     count_bigrams,
-    delta_acmi,
 )
 from tagsplit import objective
+from tagsplit.bigram import ContextBank, apply_move
+from tagsplit.objective import batch_deltas, delta_acmi
 from conftest import acmi_oracle, bank_from, make_stream, random_instance
 
 
@@ -123,17 +120,31 @@ class TestDeltaAcmi:
         assert np.array_equal(matrix.counts, snapshot)
         assert np.array_equal(matrix.row, snapshot.sum(axis=1))
 
-    def test_log_eval_counter_within_bound(self):
-        for seed, C in [(4, 4), (5, 8), (6, 16)]:
+    def test_log_eval_counter_within_bound(self, plogp_cells):
+        # delta_acmi takes one log per nonzero cell of rows and columns
+        # {frm, to}, each cell once, before the move and after it: two
+        # _plogp passes, at most 4(C - 1) cells each
+        def line_cells(counts, a, b):
+            lines = np.zeros(counts.shape, dtype=bool)
+            lines[[a, b], :] = lines[:, [a, b]] = True
+            return np.count_nonzero(counts[lines])
+
+        for seed, C in [(3, 2), (4, 4), (5, 8), (6, 16)]:
             store, assignment, matrix, bank = self._setup(seed, C)
-            counter = LogEvalCounter()
             for w in range(store.V):
                 frm = int(assignment[w])
                 for to in range(C):
                     if to == frm:
                         continue
-                    delta_acmi(matrix, bank, w, frm, to, counter)
-                    assert counter.last_call <= 8 * (C - 1)
+                    plogp_cells.clear()
+                    delta_acmi(matrix, bank, w, frm, to)
+                    after = ClassMatrix(C, matrix.counts.copy())
+                    apply_move(after, bank, w, frm, to)
+                    assert len(plogp_cells) == 2
+                    assert sum(plogp_cells) == (
+                        line_cells(matrix.counts, frm, to) + line_cells(after.counts, frm, to)
+                    )
+                    assert sum(plogp_cells) <= 8 * (C - 1)
 
     def test_scale_invariance_of_deltas(self):
         store, assignment, matrix, bank = self._setup(7, 4)

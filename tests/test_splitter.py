@@ -9,8 +9,6 @@ import tagsplit
 from tagsplit import (
     EPSILON,
     ClusterConfig,
-    ClusterState,
-    ContextBank,
     ConfigError,
     ConsistencyError,
     IngestionError,
@@ -19,13 +17,12 @@ from tagsplit import (
     class_matrix,
     cluster,
     count_bigrams,
-    delta_acmi,
-    init_level,
     oracle_min_moves,
-    run_level,
 )
 from tagsplit import splitter
-from tagsplit.bigram import EDGE_FACTOR
+from tagsplit.bigram import EDGE_FACTOR, ContextBank
+from tagsplit.objective import delta_acmi
+from tagsplit.splitter import ClusterState, init_level, run_level
 from tagsplit.synth import markov_text
 from conftest import (
     acmi_oracle,
@@ -45,6 +42,21 @@ def tiny_corpus(tokens, top_k=None):
 
 def test_every_public_name_resolves():
     assert [n for n in tagsplit.__all__ if not hasattr(tagsplit, n)] == []
+
+
+def test_public_surface_is_the_user_api():
+    # the search internals (ContextBank, apply_move, batch_deltas,
+    # delta_acmi, ClusterState, init_level, run_level) are imported from
+    # their modules, not from the package
+    assert sorted(tagsplit.__all__) == [
+        "BigramStore", "ClassMatrix", "ClusterConfig", "ConfigError",
+        "ConsistencyError", "CoverageError", "EPSILON", "IngestionError",
+        "LevelStats", "MAX_LEVELS", "STRATEGIES", "TagRow", "TagTable",
+        "TagsplitError", "TokenStream", "TokenizerOptions",
+        "UndefinedObjectiveError", "Vocabulary", "acmi", "build_vocabulary",
+        "class_matrix", "classify_rare", "cluster", "count_bigrams",
+        "oracle_min_moves", "tokenize",
+    ]
 
 
 class TestClusterConfig:
@@ -643,7 +655,7 @@ class TestPinning:
 
     def test_pinned_words_never_move(self):
         vocab, _, stats, pinned = self._pinned_run()
-        pinned_ids = {vocab.id_of(s) for s in pinned}
+        pinned_ids = {vocab.index[s] for s in pinned}
         for st in stats:
             assert not pinned_ids & set(st.moved_words)
 
@@ -654,7 +666,7 @@ class TestPinning:
         config = ClusterConfig(strategy="m", levels=3, seed=5, pinned={"w2": "01"})
         tags, stats = cluster(vocab, store, config)
         assert tags.bits_by_surface()["w2"].startswith("01")
-        pinned_id = vocab.id_of("w2")
+        pinned_id = vocab.index["w2"]
         for st in stats:
             assert pinned_id not in st.moved_words
 
