@@ -18,10 +18,21 @@ Ingest is one streaming pass.  build_vocabulary maps each list to
 provisional int32 type ids with one np.fromiter over a first-seen-order
 dict (one for the whole corpus, BREAK reserved as id 0) and then drops
 the list's strings, so only one string per distinct type stays alive.
-At the end it drops the BREAK ids, counts the types with bincount, ranks
-the vocabulary once and remaps the provisional ids to final ids through
-one lookup table.  Under sentence_boundary="none" a file's tokens are all
-alive together.
+At the end it drops the BREAK ids and counts the types with bincount.
+The per-type work after that is numpy work over all types at once, with
+no Python object made per type:
+
+* ranking: one np.partition finds the count of the top_k-th type, and
+  only the types at or above it are sorted by (-count, surface);
+* grouping: the surfaces are joined and encoded once as UTF-32, each
+  distinct character gets classify_rare's flags (alpha, digit, other,
+  vowel) in one table, np.bitwise_or.reduceat ORs them per type, and the
+  tag and the length give the group; one np.bincount sums the groups, and
+  label strings are made for the groups only;
+* the pseudo-label pattern runs only on the surfaces that begin with "<";
+* one lookup table remaps the provisional ids to final ids.
+
+Under sentence_boundary="none" a file's tokens are all alive together.
 
 Character classes follow Python's own ``str`` predicates: a "word"
 character is anything ``isalnum()``, whitespace is ``isspace()`` plus any
@@ -38,7 +49,7 @@ writes the vocabulary as TSV (write_vocab_tsv).
 from __future__ import annotations
 
 import re
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, count
 from typing import Iterable, Iterator
@@ -51,7 +62,8 @@ LEXICAL = "lexical"
 PSEUDO = "pseudo"
 
 _VOWELS = frozenset("aeiouAEIOU")
-_PSEUDO_LABEL_RE = re.compile(r"^<(numeric|alphanumeric|word|acronym|nota)(\d+)>$")
+# \Z, not $: "$" also matches before a trailing "\n"
+_PSEUDO_LABEL_RE = re.compile(r"^<(numeric|alphanumeric|word|acronym|nota)(\d+)>\Z")
 
 # The line-break token: "\n" is whitespace, so no text token equals it.
 BREAK = "\n"
@@ -155,6 +167,9 @@ def classify_rare(token: str) -> str:
     The label is ``"<" + tag + length + ">"`` where tag is one of
     numeric, alphanumeric, word (alphabetic with at least one of aeiou),
     acronym (alphabetic without), or nota (none of the above).
+    build_vocabulary groups all rare types at once with the same rules
+    (_shapes, _groups); this scalar form is the reference it is tested
+    against.
     """
     if not token:
         raise ValueError("cannot classify an empty token")
@@ -179,6 +194,84 @@ def classify_rare(token: str) -> str:
     else:
         tag = "acronym"
     return f"<{tag}{len(token)}>"
+
+
+# classify_rare's character tests as flag bits; a vowel is alphabetic too
+_ALPHA, _DIGIT, _OTHER, _VOWEL = 1, 2, 4, 8
+_TAGS = ("nota", "numeric", "alphanumeric", "word", "acronym")
+# the _TAGS index of each OR of flags, decided as classify_rare decides it
+_TAG_OF_FLAGS = np.array(
+    [
+        _TAGS.index(
+            "nota" if f & _OTHER
+            else "numeric" if not f & _ALPHA
+            else "alphanumeric" if f & _DIGIT
+            else "word" if f & _VOWEL
+            else "acronym"
+        )
+        for f in range(16)
+    ]
+)
+
+
+def _char_flags(ch: str) -> int:
+    if ch.isalpha():
+        return _ALPHA | (_VOWEL if ch in _VOWELS else 0)
+    return _DIGIT if ch.isdigit() else _OTHER
+
+
+def _shapes(surfaces: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each surface's first code point, the OR of its characters' flags,
+    and its length in code points.  No surface may be empty."""
+    lengths = np.fromiter(map(len, surfaces), np.int64, len(surfaces))
+    starts = np.cumsum(lengths) - lengths
+    codes = np.frombuffer("".join(surfaces).encode("utf-32-le", "surrogatepass"), "<u4")
+    # the table spans only up to the largest code point present, and the
+    # flags are worked out once per distinct character
+    table = np.zeros(int(codes.max()) + 1, np.uint8)
+    table[codes] = 1
+    present = np.flatnonzero(table)
+    table[present] = [_char_flags(chr(c)) for c in present.tolist()]
+    return codes[starts], np.bitwise_or.reduceat(table[codes], starts), lengths
+
+
+def _rank(surfaces: list[str], counts: np.ndarray, plain: np.ndarray, top_k: int) -> np.ndarray:
+    """The first top_k of the types `plain` by (-count, surface).
+
+    Only the types whose count reaches the top_k-th largest are sorted."""
+    if len(plain) > top_k:
+        c = counts[plain]
+        plain = plain[c >= np.partition(c, len(c) - top_k)[len(c) - top_k]]
+    kept = plain.tolist()
+    ranked = sorted(zip((-counts[plain]).tolist(), map(surfaces.__getitem__, kept), kept))
+    return np.array([i for _, _, i in ranked[:top_k]], np.int64)
+
+
+def _groups(
+    surfaces: list[str],
+    labels: list[int],
+    flags: np.ndarray,
+    lengths: np.ndarray,
+    shaped: np.ndarray,
+) -> tuple[np.ndarray, list[str]]:
+    """The pseudo group of each rare type, and each group's label.
+
+    A type listed in `labels` is a pseudo label and joins its own group; a
+    `shaped` type joins the group of its tag and length.  The group of any
+    other type is undefined.
+    """
+    group = np.zeros(len(surfaces), np.int64)
+    width = int(lengths.max()) + 1
+    key = _TAG_OF_FLAGS[flags[shaped]] * width + lengths[shaped]
+    # sort and searchsorted, not np.unique: its hash-set and argsort paths
+    # raised the novel workloads' peak RSS by 0.4-2.9 MB
+    keys = np.sort(key)
+    keys = keys[np.diff(keys, prepend=-1) > 0]
+    group[shaped] = np.searchsorted(keys, key)
+    index = {f"<{_TAGS[k // width]}{k % width}>": g for g, k in enumerate(keys.tolist())}
+    for i in labels:
+        group[i] = index.setdefault(surfaces[i], len(index))
+    return group, list(index)
 
 
 @dataclass(frozen=True)
@@ -232,7 +325,8 @@ def build_vocabulary(
     stream breaks wherever a segment's end or a BREAK token, one inside a
     caller's segment included, has tokens on both sides.  segments may be
     any iterable (a generator such as tokenize's output) and is consumed
-    once.  Pass a flat token list as [tokens].
+    once.  Pass a flat token list as [tokens].  An empty token raises
+    ConfigError.
     """
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
@@ -248,6 +342,8 @@ def build_vocabulary(
         return np.fromiter(ids, np.int32, len(seg) + 1)
 
     parts = [np.zeros(1, np.int32), *map(encode, segments)]
+    if "" in type_id:
+        raise ConfigError("tokens must be non-empty strings")
     # Free the parts, the raw ids and the dict as soon as they are copied:
     # held until the return, they fragment the heap under the later
     # allocations and raise the peak RSS (by about 9 MB on 1.6M tokens).
@@ -264,38 +360,45 @@ def build_vocabulary(
     counts = sum(
         np.bincount(provisional[a : a + _PIECE], minlength=len(surfaces))
         for a in range(0, len(provisional), _PIECE)
-    ).tolist()
+    )
 
-    plain = [i for i, t in enumerate(surfaces) if not _PSEUDO_LABEL_RE.match(t)]
-    plain.sort(key=lambda i: (-counts[i], surfaces[i]))
-    lexical = plain[:top_k]
-    lexical_set = set(lexical)
-
-    group_counts: Counter[str] = Counter()
-    final_surface = surfaces.copy()
-    for i, t in enumerate(surfaces):
-        if i in lexical_set:
-            continue
-        label = t if _PSEUDO_LABEL_RE.match(t) else classify_rare(t)
-        final_surface[i] = label
-        group_counts[label] += counts[i]
-
-    entries = [
-        VocabEntry(j, surfaces[i], counts[i], LEXICAL) for j, i in enumerate(lexical)
+    first, flags, lengths = _shapes(surfaces)
+    labels = [
+        i
+        for i in np.flatnonzero(first == ord("<")).tolist()
+        if _PSEUDO_LABEL_RE.match(surfaces[i])
     ]
-    pseudo_labels = sorted(group_counts, key=lambda g: (-group_counts[g], g))
-    entries.extend(
-        VocabEntry(len(lexical) + i, g, group_counts[g], PSEUDO)
-        for i, g in enumerate(pseudo_labels)
-    )
-    vocab = Vocabulary(entries)
+    plain = np.ones(len(surfaces), bool)
+    plain[labels] = False
+    lexical = _rank(surfaces, counts, np.flatnonzero(plain), top_k)
+    rare = np.ones(len(surfaces), bool)
+    rare[lexical] = False
+    shaped = rare & plain
+    group, names = _groups(surfaces, labels, flags, lengths, shaped)
+    # float64 sums of int64 counts are exact below 2**53 tokens
+    sizes = np.bincount(group[rare], counts[rare], len(names)).astype(np.int64).tolist()
+    order = sorted(range(len(names)), key=lambda g: (-sizes[g], names[g]))
 
-    final_id = np.fromiter(
-        map(vocab.index.__getitem__, final_surface), np.int32, len(final_surface)
+    # Drop the other types' strings before making the vocabulary's objects:
+    # made first, those could land in the allocator's arenas that the
+    # strings are about to empty, and hold them (about 1 MB of peak RSS).
+    words = list(map(surfaces.__getitem__, lexical.tolist()))
+    del surfaces
+    entries = [
+        VocabEntry(j, w, c, LEXICAL)
+        for j, (w, c) in enumerate(zip(words, counts[lexical].tolist()))
+    ]
+    entries.extend(
+        VocabEntry(len(lexical) + j, names[g], sizes[g], PSEUDO) for j, g in enumerate(order)
     )
+    group_id = np.empty(len(names), np.int32)
+    group_id[order] = np.arange(len(lexical), len(entries), dtype=np.int32)
+    final_id = np.empty(len(counts), np.int32)
+    final_id[lexical] = np.arange(len(lexical), dtype=np.int32)
+    final_id[rare] = group_id[group[rare]]
     # the tokens before each BREAK, in ascending order; where tokens follow
     # too, that is a break (np.diff drops repeats)
     cuts = at - np.arange(len(at), dtype=np.int64)
     cuts = cuts[(cuts > 0) & (cuts < len(provisional))]
     breaks = cuts[np.diff(cuts, prepend=0) > 0]
-    return vocab, TokenStream(ids=final_id[provisional], breaks=breaks)
+    return Vocabulary(entries), TokenStream(ids=final_id[provisional], breaks=breaks)

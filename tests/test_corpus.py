@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import re
 import string
 from collections import Counter
 
@@ -45,6 +47,47 @@ WORDS = ["a", "A", "the", "The", "ox", "xyz", "42", "k9", "-", "don't", "é", "<
 TEXTS = st.lists(st.lists(st.sampled_from(WORDS), max_size=7), max_size=6).map(
     lambda lines: "\n".join(" ".join(line) for line in lines)
 )
+
+# Characters for rare tokens: MIXED_ALPHABET's token characters, digits
+# that are not decimal ("²") or not ASCII ("١"), a letter number that is
+# neither alphabetic nor a digit ("Ⅻ"), letters whose case mapping gives
+# two characters ("İ", "ß"), a lone surrogate and a surrogate pair held as two
+# code points; plus whole pseudo labels and a label with a trailing newline.
+RARE_PIECES = sorted(
+    {ch for ch in MIXED_ALPHABET if ch.isprintable() and not ch.isspace()}
+    | set("²١Ⅻİß")
+    | {"\ud800", "\ud83d\ude00"}
+)
+RARE_TOKENS = st.one_of(
+    st.lists(st.sampled_from(RARE_PIECES), min_size=1, max_size=5).map("".join),
+    st.sampled_from(["<word3>", "<nota1>", "<word9>\n"]),
+)
+# SHA-256 of write_vocab_tsv for golden_segments() at top_k=40
+GOLDEN_VOCAB_SHA256 = "cac74e2afb17dc44ae4b1669e173f0805948be21cac1d605f120a57d31350249"
+
+
+def golden_segments():
+    """A seeded corpus of mixed surfaces with Zipf-like frequencies: words,
+    vowelless letter runs, numbers, letter-digit mixes and tokens with
+    other characters, some non-ASCII, plus one pseudo-label lookalike."""
+    rng = np.random.default_rng(20261019)
+    shapes = [
+        "bcdfghklmnpst" + "aeiou" + "éß",
+        "bcdfghklmnpstxz" + "İ",
+        "0123456789" + "²١",
+        "kqxz" + "0123456789",
+        "ab1" + "-'._/" + "Ⅻ",
+    ]
+    types = ["<word3>"]
+    for i in range(1500):
+        alphabet = shapes[i % 5]
+        n = int(rng.integers(1, 10))
+        types.append("".join(alphabet[j] for j in rng.integers(0, len(alphabet), n)))
+    weights = 1.0 / np.arange(1, len(types) + 1)
+    draws = rng.choice(len(types), 20_000, p=weights / weights.sum())
+    cuts = np.cumsum(rng.integers(1, 25, 2_000))
+    cuts = cuts[cuts < len(draws)]
+    return [[types[i] for i in seg.tolist()] for seg in np.split(draws, cuts)]
 
 
 def tokenize_lines(text, opts):
@@ -195,6 +238,38 @@ class TestBuildVocabulary:
         lexical = [e.surface for e in vocab.entries if e.kind == LEXICAL]
         assert lexical == ["m", "q"]  # all tied at 2; lexicographic wins
 
+    def test_top_k_inside_a_tie_at_the_cut(self, rng):
+        tied = [f"t{i:02d}" for i in range(20)]
+        tokens = rng.permutation(["a"] * 5 + tied * 2 + ["<word3>"] * 3 + ["z9"]).tolist()
+        for top_k in (1, 2, 7, 20, 21, 22, 40):
+            got = build_vocabulary([tokens], top_k)
+            assert_same_encoding(got, build_vocabulary_oracle([tokens], top_k))
+        vocab, _ = build_vocabulary([tokens], 7)
+        lexical = [e.surface for e in vocab.entries if e.kind == LEXICAL]
+        assert lexical == ["a", *tied[:6]]
+
+    def test_label_with_trailing_newline_is_not_a_label(self, tmp_path):
+        # "$" would match before the "\n", and make "<word9>\n" a group
+        vocab, stream = build_vocabulary([["a", "a", "<word9>\n", "b"]], 1)
+        surfaces = [(e.surface, e.frequency, e.kind) for e in vocab.entries]
+        assert surfaces == [("a", 2, LEXICAL), ("<acronym1>", 1, PSEUDO), ("<nota8>", 1, PSEUDO)]
+        assert stream.ids.tolist() == [0, 0, 2, 1]
+        out = tmp_path / "vocab.tsv"
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            write_vocab_tsv(fh, vocab)
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + vocab.size
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [["", "a", "a"], ["", "", "a"], ["a", "", "a", "b"]],
+        ids=["rare", "lexical", "tied"],
+    )
+    def test_empty_token_rejected(self, tokens):
+        with pytest.raises(ConfigError, match="non-empty"):
+            build_vocabulary([tokens], 1)
+        with pytest.raises(ConfigError, match="non-empty"):
+            build_vocabulary([tokens], 5)
+
     def test_no_pseudo_groups_when_everything_frequent(self):
         tokens = "a b c a b c".split()
         vocab, stream = build_vocabulary([tokens], 10)
@@ -261,6 +336,25 @@ class TestBuildVocabulary:
         assume(any(segments))
         got = build_vocabulary(segments, top_k)
         assert_same_encoding(got, build_vocabulary_oracle(segments, top_k))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(segments=st.lists(st.lists(RARE_TOKENS, max_size=8), min_size=1, max_size=6))
+    def test_rare_groups_match_classify_rare(self, segments):
+        # at top_k=1 nearly every type is rare, and its group comes from the
+        # vectorized classifier; the oracle calls classify_rare per type
+        assume(any(segments))
+        got = build_vocabulary(segments, 1)
+        assert_same_encoding(got, build_vocabulary_oracle(segments, 1))
+
+    def test_golden_vocabulary_tsv(self, tmp_path):
+        segments = golden_segments()
+        vocab, _ = build_vocabulary(segments, 40)
+        tags = {re.match(r"<([a-z]+)", e.surface)[1] for e in vocab.entries if e.kind == PSEUDO}
+        assert tags == {"word", "acronym", "numeric", "alphanumeric", "nota"}
+        out = tmp_path / "vocab.tsv"
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            write_vocab_tsv(fh, vocab)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_VOCAB_SHA256
 
     def test_errors(self):
         with pytest.raises(ConfigError):
