@@ -141,13 +141,16 @@ def class_matrix(store: BigramStore, assignment: np.ndarray, C: int) -> ClassMat
 # that the counts come from the bigram edges and the class ids.  The factor
 # is a memory bound: the rows hold 2 * V * C int64 cells, so at most 64
 # bytes per bigram pair.  Timed per level on the final class ids of the
-# novel benchmark runs (2-vCPU x86 host, numpy 2.4.6, median of 7
-# alternating rounds), edge time over row time is, by C * V / pairs:
-#   znrp, V=503:  2.53 -> 1.34,  5.06 -> 1.04,  10.1 -> 0.70,  20.2 -> 0.42
-#   znr,  V=253:  2.26 -> 1.44,  4.52 -> 1.13,  9.05 -> 0.87,  18.1 -> 0.66
-# so the rows stay faster up to about 5-7 times the pair count, and at
-# factor 4 the first edge level (C * V near 5 times the pairs) pays 4-13%
-# over rows for not holding them.
+# novel benchmark runs (batch_deltas over every eligible word, 2-vCPU x86
+# host, numpy 2.4.6, median of 7 alternating rounds), edge time over row
+# time is, by C * V / pairs:
+#   znrp, V=503:  2.53 -> 2.17,  5.06 -> 1.61,  10.1 -> 1.27,  20.2 -> 0.90
+#   znr,  V=253:  2.26 -> 2.31,  4.52 -> 1.87,  9.05 -> 1.41,  18.1 -> 1.21
+# so the rows, whose cells a bool-mask scan lists, stay faster up to about
+# 15-35 times the pair count, and at factor 4 the first two edge levels
+# pay 27-87% over rows for not holding them.  The factor stays at 4
+# all the same: a larger one keeps banks of 1-4 MB more per level on these
+# runs, and so raises peak RSS.
 EDGE_FACTOR = 4
 
 
@@ -165,6 +168,9 @@ class ContextBank:
     """
 
     def __init__(self, store: BigramStore, assignment: np.ndarray, C: int):
+        if C < 1 or C & (C - 1):
+            # cells and batch_deltas address a class by its bits
+            raise ValueError(f"class count must be a power of two, got {C}")
         self.store = store
         self.assignment = np.asarray(assignment)  # the caller's array itself
         self.C = C
@@ -214,28 +220,35 @@ class ContextBank:
     def move(self, w: int, frm: int, to: int) -> None:
         """Record w's move frm -> to: repair its neighbours' rows, set its id."""
         if self.dense:
+            # through column views: a 1-D gather and scatter each, cheaper
+            # than the same update at index pairs
             ids, cnts = self.store.pred(w)
-            self.left[ids, frm] -= cnts
-            self.left[ids, to] += cnts
+            self.left[:, frm][ids] -= cnts
+            self.left[:, to][ids] += cnts
             ids, cnts = self.store.succ(w)
-            self.right[ids, frm] -= cnts
-            self.right[ids, to] += cnts
+            self.right[:, frm][ids] -= cnts
+            self.right[:, to][ids] += cnts
         self.assignment[w] = to
 
 
 def _row_context(ctx: np.ndarray, words: np.ndarray, a: np.ndarray, b: np.ndarray):
     """One side's ContextBank.cells, from the dense rows ctx.
 
-    The corners are read from, and zeroed in, the gathered copy of the
-    rows, never in ctx.
+    The words' rows are gathered into one flat copy, where word k's cell
+    at class j sits at k * C + j; the corners are read from, and zeroed
+    in, that copy, never in ctx.  C is a power of two, so a cell's index
+    splits into (k, j) by a shift and a mask.
     """
-    rows = ctx[words]
-    r = np.arange(len(words))
-    at_a, at_b = rows[r, a], rows[r, b]
-    rows[r, a] = 0
-    rows[r, b] = 0
-    k, j = np.nonzero(rows)
-    return k, j, rows[k, j], at_a, at_b
+    C = ctx.shape[1]
+    flat = ctx[words].ravel()
+    base = np.arange(0, len(words) * C, C)
+    ia, ib = base + a, base + b
+    at_a, at_b = flat[ia], flat[ib]
+    flat[ia] = 0
+    flat[ib] = 0
+    # a bool mask scans faster than the int64 counts themselves
+    cell = np.flatnonzero(flat != 0)
+    return cell >> (C.bit_length() - 1), cell & (C - 1), flat[cell], at_a, at_b
 
 
 def _edge_context(edges, words, assignment: np.ndarray, C: int, a: np.ndarray, b: np.ndarray):
@@ -300,12 +313,9 @@ def apply_move(
     matrix.row[to] += sL
     matrix.col[frm] -= sR
     matrix.col[to] += sR
-    if (
-        N[frm, :].min() < 0
-        or N[to, :].min() < 0
-        or N[:, frm].min() < 0
-        or N[:, to].min() < 0
-    ):
+    # only row frm and column frm lose counts; the cells (to, frm) and
+    # (frm, to), which give up f, lie in them
+    if N[frm, :].min() < 0 or N[:, frm].min() < 0:
         raise ConsistencyError(
             f"apply_move drove a count negative (word {w}, {frm}->{to}); "
             "the class ids do not match the matrix"

@@ -3,10 +3,11 @@
 Owns all on-disk formats: tag, pin, gold and vocabulary tables as TSV,
 per-level stats and benchmark results as CSV, all written by write_table
 and read by read_table (UTF-8, LF endings, an exact header row, reals at
-12 significant digits, no first field repeated, errors naming path:line),
-and a JSON run manifest beside every output whose config is the parsed
-arguments, so the run can be repeated from it; a cluster manifest also
-lists, per level, the words the search rescored and chose from.
+12 significant digits, no tab or line break inside a field, no first
+field repeated, errors naming path:line), and a JSON run manifest beside
+every output whose config is the parsed arguments, so the run can be
+repeated from it; a cluster manifest also lists, per level, the words
+the search rescored and chose from.
 
 Exit codes: 0 success, 1 evaluation gate failure (error level medium or
 high), 2 usage or input error, 3 internal invariant violation.
@@ -52,6 +53,7 @@ STATS_HEADER = [
     "acmi_before", "acmi_after", "wall_seconds", "capped",
 ]
 BENCH_HEADER = ["V", "method", "seed", "level", "cumulative_seconds", "acmi_after"]
+_ROW_BREAKERS = frozenset("\t\n\r")
 
 
 def _real(x: float) -> str:
@@ -115,11 +117,20 @@ def write_table(fh, header: list[str], rows, sep: str = "\t") -> None:
     """Write a header row and the data rows, LF-terminated.
 
     Reals are written at 12 significant digits, every other field as str().
+    A field holding a tab, "\n" or "\r" would split its row, so it raises
+    ConfigError naming its column and line, before anything is written.
     """
-    fh.write(sep.join(header) + "\n")
-    for row in rows:
-        fields = (_real(f) if isinstance(f, float) else str(f) for f in row)
-        fh.write(sep.join(fields) + "\n")
+    lines = [sep.join(header) + "\n"]
+    for n, row in enumerate(rows, start=2):
+        fields = [_real(f) if isinstance(f, float) else str(f) for f in row]
+        for column, field in zip(header, fields):
+            if not _ROW_BREAKERS.isdisjoint(field):
+                raise ConfigError(
+                    f"cannot write {column} {field!r} on line {n}: "
+                    "a field may not hold a tab or a line break"
+                )
+        lines.append(sep.join(fields) + "\n")
+    fh.write("".join(lines))
 
 
 def _bit_string(source: Path, n: int, bits: str) -> str:

@@ -22,12 +22,18 @@ cells, predecessor cells, corners, and passed through h once; views of it
 are then summed per word, so a search step costs a small, fixed number
 of numpy calls whatever the number of words.  The cells come from
 ContextBank.cells, which lists them from dense rows or from bigram edges
-in the same order, so both give the same deltas to the bit.  line_terms
-sums the h-terms of a set of rows and columns, so a commit confined to
-them is booked exactly.  delta_acmi is the scalar reference: it
-re-evaluates the two rows and columns before and after the move from the
-word's ContextBank.context, one masked p lg(p / (pl pr)) pass over the
-nonzero cells of each state, at most 8(C-1) log terms in all.
+in the same order, so both give the same deltas to the bit.  The per-step
+kernels address the C x C table by flat index, cell (i, j) at i*C + j,
+with one 1-D gather per set of cells and no index pairs; as C is a power
+of two and b = a ^ 1, the line-b cell beside a line-a cell and the four
+corners are bit flips of one index.  Nonzero cells are listed by scanning
+a bool mask (np.flatnonzero(x != 0)), which is cheaper than scanning the
+int64 counts themselves.  line_terms sums the h-terms of a set of rows
+and columns, so a commit confined to them is booked exactly.  delta_acmi
+is the scalar reference: it re-evaluates the two rows and columns before
+and after the move from the word's ContextBank.context, one masked
+p lg(p / (pl pr)) pass over the nonzero cells of each state, at most
+8(C-1) log terms in all.
 """
 
 from __future__ import annotations
@@ -47,8 +53,9 @@ def acmi(matrix: ClassMatrix) -> float:
     if matrix.T == 0:
         raise UndefinedObjectiveError("ACMI is undefined on an empty matrix (T = 0)")
     N = matrix.counts
-    # one scan of the flat table; the cells come in row-major order
-    flat = np.flatnonzero(N)
+    # one scan of a bool mask of the flat table, cheaper than of the int64
+    # counts; the cells come in row-major order
+    flat = np.flatnonzero(N != 0)
     i, j = flat // matrix.C, flat % matrix.C
     x = N.ravel()[flat].astype(np.float64)
     T = float(matrix.T)
@@ -195,21 +202,24 @@ def batch_deltas(
         raise UndefinedObjectiveError("ACMI is undefined on an empty matrix (T = 0)")
     words = np.asarray(words, dtype=np.int64)
     a = np.asarray(frm, dtype=np.int64)
-    b = a ^ 1
-    N = matrix.counts
+    C = matrix.C
+    N = matrix.counts.ravel()
     n = len(words)
 
     # off-corner cells: rows a and b at w's successor classes, then
-    # columns a and b (rows of N.T) at w's predecessor classes
-    sides = [
-        (k, x, lines[a[k], j], lines[b[k], j], at_a, at_b)
-        for lines, (k, j, x, at_a, at_b) in zip((N, N.T), bank.cells(words, a))
-    ]
-    (k1, x1, na1, nb1, La, Lb), (k2, x2, na2, nb2, Ra, Rb) = sides
+    # columns a and b at w's predecessor classes.  Cell (i, j) is N[i*C + j]
+    # and b = a ^ 1, so line b's cell is line a's with one bit flipped
+    (k1, j1, x1, La, Lb), (k2, j2, x2, Ra, Rb) = bank.cells(words, a)
+    i1 = a[k1] * C + j1
+    i2 = j2 * C + a[k2]
+    na1, nb1 = N[i1], N[i1 ^ C]
+    na2, nb2 = N[i2], N[i2 ^ 1]
     m1, m = len(k1), len(k1) + len(k2)
 
     f = bank.store.self_count[words]
-    aa, ab, ba, bb = N[a, a], N[a, b], N[b, a], N[b, b]
+    ia = a * (C + 1)
+    aa, ab, ba, bb = N[ia], N[ia ^ 1], N[ia ^ C], N[ia ^ (C + 1)]
+    b = a ^ 1
     sL, sR = bank.store.succ_total[words], bank.store.pred_total[words]
     ra, rb, ca, cb = matrix.row[a], matrix.row[b], matrix.col[a], matrix.col[b]
     counts = np.concatenate((

@@ -6,7 +6,8 @@ compiled patterns, sparse stores and incremental updates so the two routes
 stay independent.  build_vocabulary_oracle shares only the package's
 rare-word classifier and pseudo-label pattern.  pair_count and
 context_vectors are the scalar lookups over a BigramStore that only tests
-need.  context_source and bank_from pick where a ContextBank reads its
+need, and cells_oracle lists a ContextBank's cells from them word by
+word.  context_source and bank_from pick where a ContextBank reads its
 counts, so a test can run one state on both sources.  plogp_cells counts
 the scalar oracle's logs.
 """
@@ -84,6 +85,24 @@ def context_vectors(store, assignment, w, C) -> Context:
     ids, cnts = store.pred(w)
     np.add.at(right, assignment[ids], cnts)
     return Context(left, right, int(store.self_count[w]))
+
+
+def cells_oracle(store, assignment, words, a, C) -> list[tuple]:
+    """ContextBank.cells(words, a) word by word from context_vectors."""
+    sides = []
+    for side in ("left", "right"):
+        k, j, x, at_a, at_b = [], [], [], [], []
+        for i, (w, c) in enumerate(zip(map(int, words), map(int, a))):
+            ctx = getattr(context_vectors(store, assignment, w, C), side)
+            at_a.append(ctx[c])
+            at_b.append(ctx[c ^ 1])
+            for col in np.flatnonzero(ctx):
+                if col not in (c, c ^ 1):
+                    k.append(i)
+                    j.append(col)
+                    x.append(ctx[col])
+        sides.append(tuple(np.array(v, dtype=np.int64) for v in (k, j, x, at_a, at_b)))
+    return sides
 
 
 @contextlib.contextmanager

@@ -286,6 +286,71 @@ class TestApplyMove:
         with pytest.raises(ConsistencyError):
             apply_move(m, bank, 0, 0, 1)
 
+    @pytest.mark.parametrize(
+        "stream, short, cell",
+        [
+            # word 0's successors in class 2: row frm loses them
+            ([0, 2, 0, 2], "matrix", (0, 2)),
+            # word 0's predecessors in class 2: column frm loses them
+            ([2, 0, 2, 0], "matrix", (2, 0)),
+            # a bank row one short of word 0's self count f = 1 leaves short
+            # the cross corner that gives up f: (to, frm) in column frm ...
+            ([0, 0], "left", (1, 0)),
+            # ... and (frm, to) in row frm
+            ([0, 0], "right", (0, 1)),
+        ],
+        ids=["row-frm", "column-frm", "corner-to-frm", "corner-frm-to"],
+    )
+    def test_count_driven_negative_detected(self, stream, short, cell):
+        store = count_bigrams(make_stream(stream), 4)
+        assignment = np.array([0, 1, 2, 3])
+        m = class_matrix(store, assignment, 4)
+        bank = bank_from("rows", store, assignment, 4)
+        if short == "matrix":
+            m.counts[cell] -= 1
+        else:
+            getattr(bank, short)[0, 0] -= 1
+        with pytest.raises(ConsistencyError, match=r"word 0, 0->1"):
+            apply_move(m, bank, 0, 0, 1)
+        # the move left exactly that one count negative
+        assert np.argwhere(m.counts < 0).tolist() == [list(cell)]
+
+    def test_raises_exactly_when_a_count_goes_negative(self):
+        # a matrix cell or a bank count off by one: apply_move raises if and
+        # only if the move leaves a count negative anywhere in the matrix
+        outcomes = []
+        for seed in range(60):
+            _, assignment, store = random_instance(seed, V=12, length=60, C=4)
+            m = class_matrix(store, assignment, 4)
+            bank = bank_from("rows", store, assignment, 4)
+            rng = np.random.default_rng(seed)
+            w = int(rng.integers(store.V))
+            frm = int(assignment[w])
+            to = (frm + int(rng.integers(1, 4))) % 4
+            c = int(rng.integers(4))
+            lines = [bank.left[w], bank.right[w]]
+            if seed % 3 == 0:
+                cells = np.argwhere(m.counts > 0)
+                m.counts[tuple(cells[rng.integers(len(cells))])] -= 1
+            elif lines[seed % 2][c] > 0:
+                lines[seed % 2][c] -= 1
+            else:
+                lines[seed % 2][c] += 1
+            try:
+                apply_move(m, bank, w, frm, to)
+                raised = False
+            except ConsistencyError:
+                raised = True
+            assert raised == bool((m.counts < 0).any())
+            outcomes.append(raised)
+        assert 0 < sum(outcomes) < len(outcomes)
+
+    def test_class_count_must_be_a_power_of_two(self):
+        store = count_bigrams(make_stream([0, 1, 2]), 3)
+        for C in (0, 3, 6):
+            with pytest.raises(ValueError, match="power of two"):
+                ContextBank(store, np.zeros(3, dtype=np.int32), C)
+
     @pytest.mark.parametrize("C", [2, 8, 64])
     def test_bank_read_matches_edge_read(self, C):
         # a bank with dense rows and one that reads the bigram edges give

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tagsplit import ConfigError, cli
 from tagsplit.cli import (
     EXIT_GATE,
     EXIT_OK,
@@ -14,8 +15,9 @@ from tagsplit.cli import (
     main,
     read_tags_tsv,
     write_stats_csv,
+    write_tags_tsv,
 )
-from tagsplit.splitter import LevelStats
+from tagsplit.splitter import LevelStats, TagRow, TagTable
 from tagsplit.elman import generate
 from tagsplit.synth import markov_text
 from conftest import pair_count
@@ -156,6 +158,14 @@ class TestCluster:
         assert [row[-1] for row in rows] == ["0", "1"]
         assert rows[1][5] == "0.666666666667"  # reals at 12 significant digits
 
+    @pytest.mark.parametrize("bad", ["a\tb", "x\ny", "x\ry"])
+    def test_tags_file_refuses_a_field_that_splits_its_row(self, tmp_path, bad):
+        path = tmp_path / "tags.tsv"
+        rows = [TagRow("fine", "0", 3, 0), TagRow(bad, "1", 2, 1)]
+        with pytest.raises(ConfigError, match=r"cannot write surface .* on line 3:"):
+            write_tags_tsv(path, TagTable(rows))
+        assert path.read_text() == ""
+
     def test_acmi_monotone_in_stats_file(self, elman_corpus, tmp_path):
         rc, _, stats = run_cluster(elman_corpus, tmp_path)
         rows = [line.split(",") for line in stats.read_text().splitlines()[1:]]
@@ -185,6 +195,19 @@ class TestCluster:
         rc, *_ = run_cluster(elman_corpus, tmp_path, levels="11")
         assert rc == EXIT_USAGE
         assert "1024" in capsys.readouterr().err
+
+    def test_surface_that_splits_a_row_exit_2(self, tmp_path, capsys, monkeypatch):
+        # tokenize never yields such a token, so the test stands one in
+        corpus = tmp_path / "in.txt"
+        corpus.write_text("x y x y z\n")
+        monkeypatch.setattr(
+            cli, "tokenize", lambda text, options: [["x\ty", "z", "x\ty", "z", "w"]]
+        )
+        rc, tags, stats = run_cluster(corpus, tmp_path, levels="1", top="3")
+        assert rc == EXIT_USAGE
+        assert "cannot write surface 'x\\ty' on line 2" in capsys.readouterr().err
+        assert tags.read_text() == ""
+        assert not stats.exists()
 
     @pytest.mark.parametrize("method", ["m", "znr", "znrp"])
     def test_negative_seed_exit_2(self, elman_corpus, tmp_path, capsys, method):

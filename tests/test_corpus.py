@@ -1,4 +1,5 @@
 import hashlib
+import io
 import itertools
 import re
 import string
@@ -443,6 +444,16 @@ class TestBuildVocabulary:
             (c for t, c in counts.items() if t not in lexical), default=0
         )
         assert min_lex >= pooled_max
+
+    @pytest.mark.parametrize("bad", ["a\tb", "x\ny", "x\ry"])
+    def test_vocab_tsv_refuses_a_field_that_splits_its_row(self, bad):
+        # such surfaces never come from tokenize, but a library caller can
+        # pass them to build_vocabulary
+        vocab, _ = build_vocabulary([[bad, bad, "c"]], 2)
+        out = io.StringIO()
+        with pytest.raises(ConfigError, match=r"surface .* on line 2:"):
+            write_vocab_tsv(out, vocab)
+        assert out.getvalue() == ""
 
     def test_vocab_tsv_export(self, tmp_path):
         vocab, _ = build_vocabulary(["a b a c".split()], 2)

@@ -1,4 +1,6 @@
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,16 +9,20 @@ from hypothesis import strategies as st
 from tagsplit import (
     BigramStore,
     ClassMatrix,
+    ClusterConfig,
     ConsistencyError,
     UndefinedObjectiveError,
     acmi,
+    build_vocabulary,
     class_matrix,
+    cluster,
     count_bigrams,
 )
-from tagsplit import objective
+from tagsplit import objective, splitter
 from tagsplit.bigram import ContextBank, apply_move
 from tagsplit.objective import batch_deltas, delta_acmi
-from conftest import acmi_oracle, bank_from, make_stream, random_instance
+from tagsplit.synth import markov_text
+from conftest import acmi_oracle, bank_from, cells_oracle, make_stream, random_instance
 
 
 def matrix_from(counts) -> ClassMatrix:
@@ -376,6 +382,36 @@ class TestContextCellBranches:
             bank.move(int(w), frm, frm ^ 1)
         return store, assignment, matrix
 
+    @pytest.mark.parametrize("C", [2 << i for i in range(10)])
+    def test_sources_list_the_same_cells(self, C):
+        # words 0 and 1 neighbour only each other and themselves, so their
+        # whole context lies in their own pair; at C=2 every word's does
+        rng = np.random.default_rng(C)
+        V = 40
+        ids = np.concatenate(([0, 1, 1, 0, 0, 1], rng.integers(2, V, 600)))
+        store = count_bigrams(make_stream(ids, breaks=[6]), V)
+        assignment = rng.integers(0, C, V).astype(np.int32)
+        assignment[:2] = [0, 1]
+        rows = bank_from("rows", store, assignment, C)
+        edges = bank_from("edges", store, assignment, C)
+        words = np.arange(V)
+        for part in (words, words[::-3], words[:0]):
+            want = cells_oracle(store, assignment, part, assignment[part], C)
+            for bank in (rows, edges):
+                got = bank.cells(part, assignment[part])
+                for side, expected in zip(got, want):
+                    for g, e in zip(side, expected):
+                        assert g.dtype == np.int64
+                        assert np.array_equal(g, e)
+        cells = rows.cells(words, assignment)
+        for k, *_ in cells:
+            assert not np.isin(k, [0, 1]).any()
+            if C == 2:
+                assert len(k) == 0
+        (_, _, _, La, Lb), (_, _, _, Ra, Rb) = cells
+        assert np.array_equal((La + Lb)[:2], store.succ_total[:2])
+        assert np.array_equal((Ra + Rb)[:2], store.pred_total[:2])
+
     @pytest.mark.parametrize("C", [2, 4, 64, 256, 1024])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_branches_agree_exactly(self, seed, C):
@@ -421,3 +457,34 @@ class TestContextCellBranches:
         bank = bank_from("edges", store, assignment, 2)
         with pytest.raises(ConsistencyError, match="corner count for word 0"):
             batch_deltas(matrix, bank, np.array([0]), np.array([0]))
+
+
+# SHA-256 of the raw float64 bytes of every batch_deltas result, in call
+# order, over a 10-level run on a seeded Markov corpus (V=153, 2,917
+# pairs), recorded with numpy 2.4.6 on x86-64.  Levels 1-6 (C=2-64) read
+# dense bank rows and levels 7-10 (C=128-1024) bigram edges.
+GOLDEN_KERNEL_SHA256 = {
+    "znr": "919821aeae3dc05d578ee25b7abcd9e38df8192f07c9b549067c92fe5859fb5e",
+    "znrp": "19f8f8501fcb1b00f55732a080bfca0aa9e74c7ee7eb4bdcf4c0baa832e58bae",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_KERNEL_SHA256))
+def test_kernel_bits_match_recorded_sha256(strategy, monkeypatch):
+    # pins every delta to the bit, not only the picks the tags show
+    vocab, stream = build_vocabulary(markov_text(20000, n_types=2000, n_states=16, seed=5), 150)
+    store = count_bigrams(stream, vocab.size)
+    digest = hashlib.sha256()
+    sources = set()
+
+    def hashed(matrix, bank, words, frm):
+        d = batch_deltas(matrix, bank, words, frm)
+        assert d.dtype == np.float64
+        digest.update(d.tobytes())
+        sources.add((matrix.C, bank.dense))
+        return d
+
+    monkeypatch.setattr(splitter, "batch_deltas", hashed)
+    cluster(vocab, store, ClusterConfig(strategy=strategy, levels=10))
+    assert sources == {(1 << level, level <= 6) for level in range(1, 11)}
+    assert digest.hexdigest() == GOLDEN_KERNEL_SHA256[strategy]
