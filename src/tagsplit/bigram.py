@@ -93,18 +93,27 @@ def count_bigrams(stream: TokenStream, V: int | None = None) -> BigramStore:
     if len(ids) < 2:
         empty = np.zeros(0, dtype=np.int64)
         return BigramStore(V, empty, empty, empty)
-    keep = np.ones(len(ids) - 1, dtype=bool)
-    br = np.asarray(stream.breaks, dtype=np.int64)
-    br = br[(br > 0) & (br < len(ids))]
-    keep[br - 1] = False
-    # one corpus-long key array, built in place and freed once masked;
-    # int32 wherever every key left*V + right fits, and only uniq widened
-    key = ids[:-1].astype(np.int32 if V * V <= 2**31 else np.int64)
+    # the key left*V + right is the only corpus-long integer array: built,
+    # severed and sorted in place; int32 wherever every key and the
+    # sentinel V*V fit, and only the unique keys widened
+    key = ids[:-1].astype(np.int32 if V * V < 2**31 else np.int64)
     key *= V
     key += ids[1:]
-    key = key[keep]
-    uniq, cnt = np.unique(key, return_counts=True)
-    uniq = uniq.astype(np.int64)
+    # a severed pair gets the sentinel V*V, above every real key, so the
+    # sort puts all of them in one tail that a view cuts off
+    br = np.asarray(stream.breaks, dtype=np.int64)
+    key[br[(br > 0) & (br < len(ids))] - 1] = V * V
+    key.sort()
+    # search with a scalar of key's own dtype: numpy 2 compares an int32
+    # key with a Python int through an int64 copy of the whole key
+    key = key[: np.searchsorted(key, key.dtype.type(V * V))]
+    # one bool per pair marks where each run of equal keys starts
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    uniq = key[starts].astype(np.int64)
+    cnt = np.diff(starts, append=len(key))
     return BigramStore(V, uniq // V, uniq % V, cnt.astype(np.int64))
 
 

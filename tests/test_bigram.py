@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,15 @@ from conftest import (
     pair_counts_oracle,
     random_instance,
 )
+
+
+def assert_matches_pair_oracle(ids, breaks, V) -> BigramStore:
+    store = count_bigrams(make_stream(ids, breaks), V)
+    want = pair_counts_oracle(ids, breaks)
+    got = zip(store.left.tolist(), store.right.tolist(), store.counts.tolist())
+    assert {(w, v): c for w, v, c in got} == want
+    assert store.T == sum(want.values())
+    return store
 
 
 class TestCountBigrams:
@@ -46,14 +57,52 @@ class TestCountBigrams:
         # 46,340 is the largest V whose keys are built in int32
         ids = data.draw(st.lists(st.integers(0, V - 1), max_size=30))
         cuts = st.integers(0, len(ids))
-        breaks = sorted(data.draw(st.lists(cuts, unique=True, max_size=6)))
-        want = pair_counts_oracle(ids, breaks)
+        breaks = sorted(data.draw(st.lists(cuts, max_size=6)))
         # breaks at 0 and at len(ids) sever nothing
         for br in (breaks, sorted({0, len(ids), *breaks})):
-            store = count_bigrams(make_stream(ids, br), V)
-            got = zip(store.left.tolist(), store.right.tolist(), store.counts.tolist())
-            assert {(w, v): c for w, v, c in got} == want
-            assert store.T == sum(want.values())
+            assert_matches_pair_oracle(ids, br, V)
+
+    @pytest.mark.parametrize(
+        "ids, breaks, V",
+        [
+            # a hand-built stream may list a break more than once
+            ([0, 1, 0, 1, 1, 0], [2, 2, 4, 4, 4], 2),
+            # every pair severed: an empty store that keeps V
+            ([0, 1, 2, 3], [1, 2, 3], 7),
+            ([2, 2], [1, 1], 3),
+            # the largest real key, (V-1, V-1), right before a severed pair:
+            # the sentinel V*V marking severed pairs must sort above it, in
+            # int32 keys (V = 46,340) and in int64 keys (V = 46,341)
+            ([46_339, 46_339, 46_339, 0], [2], 46_340),
+            ([46_340, 46_340, 46_340, 0], [2], 46_341),
+            ([46_339, 46_339, 46_339], [2, 2], 46_340),
+        ],
+    )
+    def test_edge_cases_match_pair_oracle(self, ids, breaks, V):
+        store = assert_matches_pair_oracle(ids, breaks, V)
+        assert store.V == V
+
+    def test_counting_holds_one_corpus_long_integer_array(self):
+        # 1M int32 ids at V=75, 50,000 breaks: the traced peak was 10.9 MB
+        # while a masked copy and np.unique's sorted copy of the key stood
+        # beside it, and about 13 MB when np.searchsorted took a Python int
+        # and numpy 2 widened the int32 key to int64 to compare with it
+        rng = np.random.default_rng(5)
+        n, V = 1_000_000, 75
+        ids = rng.integers(0, V, n).astype(np.int32)
+        breaks = np.sort(rng.choice(np.arange(1, n), 50_000, replace=False))
+        stream = make_stream(ids, breaks)
+        key_nbytes = (n - 1) * np.dtype(np.int32).itemsize
+        tracemalloc.start()
+        try:
+            store = count_bigrams(stream, V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert store.T == n - 1 - len(breaks)
+        # the key, one bool per token to mark run starts, and 1 MiB for the
+        # rest (the breaks' index arrays, the store's pair-sized arrays)
+        assert peak <= key_nbytes + n + 2**20
 
     def test_total_beyond_float64_exactness_rejected(self):
         # per-word sums of counts go through float64, exact below 2**53
