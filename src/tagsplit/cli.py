@@ -239,7 +239,9 @@ def _distinct_files(*paths: Path) -> None:
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
-    h.update(path.read_bytes())
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            h.update(chunk)
     return h.hexdigest()
 
 
@@ -293,13 +295,12 @@ def build_pipeline(
     """Shared corpus -> vocabulary -> bigram pipeline for cluster and bench.
 
     One streaming pass: each file is read and tokenized only when the
-    vocabulary builder reaches it.  Every file's segments follow one
-    another in one segment stream, so no bigram spans two files.
+    vocabulary builder reaches it.  Each file's token stream is one
+    segment, so no bigram spans two files.
     """
     options = TokenizerOptions(lowercase=lowercase, sentence_boundary=boundary)
     vocab, stream = build_vocabulary(
-        (seg for path in paths for seg in tokenize(read_text_file(path), options)),
-        top_words,
+        (tokenize(read_text_file(p), options) for p in paths), top_words
     )
     return vocab, stream, count_bigrams(stream, vocab.size)
 

@@ -6,18 +6,18 @@ that pool everything rarer by a coarse morphological tag and exact length
 (``<word9>``, ``<numeric3>``, ...).  Pooling the rare words keeps their
 context statistics available to the clustering instead of discarding them.
 
-A corpus is a sequence of token lists, and no bigram spans the end of a
-list or a "\n" token (BREAK) inside one.  Under sentence_boundary="token"
-tokenize lazily yields the text in chunks of whole lines, about
-CHUNK_CHARS characters each, with a BREAK token for each "\n" of the
-text; under "none" it yields the whole text as one list.  The lists of several files
-simply follow one another, and build_vocabulary turns the BREAK
-positions and the list ends into the stream's break positions.
+A corpus is a sequence of segments, each an iterable of tokens, and no
+bigram spans the end of a segment or a "\n" token (BREAK) inside one.
+tokenize yields a text's tokens as one flat, lazy stream, one findall per
+chunk of about CHUNK_CHARS characters cut just after a "\n" (which splits
+no token), with a BREAK for each "\n" under sentence_boundary="token".
+The CLI passes one segment per file, and build_vocabulary turns the BREAK
+positions and the segment ends into the stream's break positions.
 
-Ingest is one streaming pass.  build_vocabulary maps each list to
+Ingest is one streaming pass.  build_vocabulary maps each segment to
 provisional int32 type ids with one np.fromiter over a first-seen-order
-dict (one for the whole corpus, BREAK reserved as id 0) and then drops
-the list's strings, so only one string per distinct type stays alive.
+dict (one for the whole corpus, BREAK reserved as id 0), so besides one
+chunk's tokens only one string per distinct type stays alive.
 At the end it drops the BREAK ids and counts the types with bincount.
 The per-type work after that is numpy work over all types at once, with
 no Python object made per type:
@@ -31,8 +31,6 @@ no Python object made per type:
   label strings are made for the groups only;
 * the pseudo-label pattern runs only on the surfaces that begin with "<";
 * one lookup table remaps the provisional ids to final ids.
-
-Under sentence_boundary="none" a file's tokens are all alive together.
 
 Character classes follow Python's own ``str`` predicates: a "word"
 character is anything ``isalnum()``, whitespace is ``isspace()`` plus any
@@ -131,33 +129,32 @@ def _token_pattern(text: str, lines: bool) -> re.Pattern | None:
     return re.compile("|".join(runs))
 
 
-def tokenize(text: str, options: TokenizerOptions | None = None) -> Iterator[list[str]]:
-    """Lazily split text into non-empty lists of tokens.
+def tokenize(text: str, options: TokenizerOptions | None = None) -> Iterator[str]:
+    """Lazily split text into one flat stream of tokens.
 
-    Deterministic, and no token holds whitespace.  With
-    sentence_boundary="token" the text is cut into chunks of whole lines,
-    about CHUNK_CHARS characters each, each tokenized only when it is
-    reached, and each "\n" of the text is a BREAK token; split a list at
-    its BREAK tokens to get the lines' tokens.  Otherwise the whole text is
-    one list.  The pattern is built when tokenize is called.
+    Deterministic, and no token holds whitespace.  The text is cut into
+    chunks just after a "\n", about CHUNK_CHARS characters each, and each
+    is tokenized only when it is reached.  With sentence_boundary="token"
+    each "\n" of the text is a BREAK token too; split the stream at its
+    BREAK tokens to get the lines' tokens.  The pattern is built when
+    tokenize is called.
     """
     opts = options or TokenizerOptions()
     if opts.lowercase:
         text = text.lower()
-    lines = opts.sentence_boundary == "token"
-    pattern = _token_pattern(text, lines)
+    pattern = _token_pattern(text, opts.sentence_boundary == "token")
     if pattern is None:
         return iter(())
-    return _chunks(text, pattern, CHUNK_CHARS if lines else len(text))
+    return chain.from_iterable(_chunks(text, pattern))
 
 
-def _chunks(text: str, pattern: re.Pattern, size: int) -> Iterator[list[str]]:
-    # each chunk ends just after the first BREAK at or past `size` characters
+def _chunks(text: str, pattern: re.Pattern) -> Iterator[list[str]]:
+    # each chunk ends just after the first BREAK at or past CHUNK_CHARS
+    # characters; "\n" is whitespace, so the cut splits no token
     a = 0
     while a < len(text):
-        b = text.find(BREAK, a + size - 1) + 1 or len(text)
-        if tokens := pattern.findall(text, a, b):
-            yield tokens
+        b = text.find(BREAK, a + CHUNK_CHARS - 1) + 1 or len(text)
+        yield pattern.findall(text, a, b)
         a = b
 
 
@@ -313,7 +310,7 @@ class TokenStream:
 
 
 def build_vocabulary(
-    segments: Iterable[list[str]], top_k: int
+    segments: Iterable[Iterable[str]], top_k: int
 ) -> tuple[Vocabulary, TokenStream]:
     """Build the top-k vocabulary and encode the segments as one stream.
 
@@ -322,11 +319,11 @@ def build_vocabulary(
     pseudo-group label.  Tokens that already look like pseudo-group labels
     map straight to their group, so decoding and rebuilding is a fixed point.
     Segments are concatenated without their BREAK ("\\n") tokens; the
-    stream breaks wherever a segment's end or a BREAK token, one inside a
-    caller's segment included, has tokens on both sides.  segments may be
-    any iterable (a generator such as tokenize's output) and is consumed
-    once.  Pass a flat token list as [tokens].  An empty token raises
-    ConfigError.
+    stream breaks wherever a segment's end or a BREAK token inside a
+    segment has tokens on both sides.  A segment may be any iterable of
+    tokens (such as tokenize's stream), and segments may be any iterable of
+    them; each is consumed once.  Pass one text's tokens as [tokens].  An
+    empty token raises ConfigError.
     """
     if top_k < 1:
         raise ConfigError(f"top_k must be >= 1, got {top_k}")
@@ -335,11 +332,10 @@ def build_vocabulary(
     # empty), which makes each segment end a break
     type_id: defaultdict[str, int] = defaultdict(count(1).__next__, {BREAK: 0})
 
-    def encode(seg: list[str]) -> np.ndarray:
+    def encode(seg: Iterable[str]) -> np.ndarray:
         if isinstance(seg, str):
-            raise ConfigError("segments must be token lists; pass a flat token list as [tokens]")
-        ids = map(type_id.__getitem__, chain(seg, (BREAK,)))
-        return np.fromiter(ids, np.int32, len(seg) + 1)
+            raise ConfigError("a segment is not a str; pass one text's tokens as [tokens]")
+        return np.fromiter(map(type_id.__getitem__, chain(seg, (BREAK,))), np.int32)
 
     parts = [np.zeros(1, np.int32), *map(encode, segments)]
     if "" in type_id:

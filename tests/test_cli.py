@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -201,13 +205,41 @@ class TestCluster:
         corpus = tmp_path / "in.txt"
         corpus.write_text("x y x y z\n")
         monkeypatch.setattr(
-            cli, "tokenize", lambda text, options: [["x\ty", "z", "x\ty", "z", "w"]]
+            cli, "tokenize", lambda text, options: ["x\ty", "z", "x\ty", "z", "w"]
         )
         rc, tags, stats = run_cluster(corpus, tmp_path, levels="1", top="3")
         assert rc == EXIT_USAGE
         assert "cannot write surface 'x\\ty' on line 2" in capsys.readouterr().err
         assert tags.read_text() == ""
         assert not stats.exists()
+
+    def test_runtime_imports_only_numpy_beyond_the_stdlib(self, tmp_path):
+        # a fresh interpreter, so that no test's imports count; the snapshot
+        # leaves out what site's .pth hooks load before any import, and
+        # _sysconfigdata_<platform> is the stdlib's own build configuration
+        corpus = tmp_path / "in.txt"
+        corpus.write_text("a b a c b a d\n" * 20)
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "from tagsplit.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+            "stdlib = {m for m in new if m.startswith('_sysconfigdata_')}\n"
+            "stdlib |= set(sys.stdlib_module_names)\n"
+            "print(rc, sorted(new - stdlib - {'numpy', 'tagsplit'}))\n"
+        )
+        argv = [
+            "cluster", "--in", str(corpus), "--top-words", "3", "--levels", "2",
+            "--tags", str(tmp_path / "tags.tsv"), "--stats", str(tmp_path / "stats.csv"),
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(EXIT_OK), "[]"]
 
     @pytest.mark.parametrize("method", ["m", "znr", "znrp"])
     def test_negative_seed_exit_2(self, elman_corpus, tmp_path, capsys, method):
@@ -489,6 +521,13 @@ class TestPathCollisions:
 
 
 class TestCorpusLoading:
+    @pytest.mark.parametrize("size", [0, 2**20 - 1, 2**20 + 1])
+    def test_input_digest_matches_sha256(self, tmp_path, size):
+        data = np.random.default_rng(size).integers(0, 256, size, np.uint8).tobytes()
+        path = tmp_path / "in.bin"
+        path.write_bytes(data)
+        assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
+
     def test_files_never_flow_into_each_other(self, tmp_path):
         a = tmp_path / "a.txt"
         empty = tmp_path / "empty.txt"

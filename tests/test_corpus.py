@@ -3,6 +3,7 @@ import io
 import itertools
 import re
 import string
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,7 @@ from tagsplit import (
 from tagsplit import corpus
 from tagsplit.cli import build_pipeline, write_vocab_tsv
 from tagsplit.corpus import BREAK, LEXICAL, PSEUDO
+from tagsplit.synth import zipf_weights
 from conftest import build_vocabulary_oracle, tokenize_oracle
 
 # Letters, digits and punctuation (regex metacharacters included), ASCII
@@ -92,17 +94,12 @@ def golden_segments():
 
 
 def tokenize_lines(text, opts):
-    """tokenize's output in tokenize_oracle's form: under
-    sentence_boundary="token" the yielded lists cut at their BREAK tokens,
-    empty pieces dropped, which gives each non-empty line's tokens; as
-    yielded otherwise."""
-    got = list(tokenize(text, opts))
-    if opts.sentence_boundary != "token":
-        return got
+    """tokenize's stream in tokenize_oracle's form: cut at its BREAK
+    tokens, empty pieces dropped, which gives each non-empty line's tokens
+    under sentence_boundary="token" and the whole text's otherwise."""
     return [
         list(tokens)
-        for chunk in got
-        for is_break, tokens in itertools.groupby(chunk, lambda t: t == BREAK)
+        for is_break, tokens in itertools.groupby(tokenize(text, opts), lambda t: t == BREAK)
         if not is_break
     ]
 
@@ -119,7 +116,7 @@ def assert_same_encoding(got, want):
 class TestTokenize:
     def test_punctuation_runs_are_tokens(self):
         opts = TokenizerOptions(lowercase=False)
-        assert list(tokenize("AB & CD SMITH", opts)) == [["AB", "&", "CD", "SMITH"]]
+        assert list(tokenize("AB & CD SMITH", opts)) == ["AB", "&", "CD", "SMITH"]
 
     def test_empty_input(self):
         assert list(tokenize("")) == []
@@ -127,10 +124,10 @@ class TestTokenize:
 
     def test_lowercase_fold(self):
         opts = TokenizerOptions(lowercase=True)
-        assert list(tokenize("It is, perhaps.", opts)) == [["it", "is", ",", "perhaps", "."]]
+        assert list(tokenize("It is, perhaps.", opts)) == ["it", "is", ",", "perhaps", "."]
 
     def test_no_whitespace_inside_tokens(self):
-        for tok in itertools.chain.from_iterable(tokenize("one\ttwo\n three!?four")):
+        for tok in tokenize("one\ttwo\n three!?four"):
             assert not any(ch.isspace() for ch in tok)
 
     def test_deterministic(self):
@@ -141,33 +138,40 @@ class TestTokenize:
         text = "\na b\nc d\n\ne\n"
         opts = TokenizerOptions(sentence_boundary="token")
         assert tokenize_lines(text, opts) == [["a", "b"], ["c", "d"], ["e"]]
-        # one chunk, a BREAK for every "\n"
+        # a BREAK for every "\n"
         assert list(tokenize(text, opts)) == [
-            [BREAK, "a", "b", BREAK, "c", "d", BREAK, BREAK, "e", BREAK]
+            BREAK, "a", "b", BREAK, "c", "d", BREAK, BREAK, "e", BREAK
         ]
-        # without line boundaries a newline is whitespace: one segment
-        assert list(tokenize(text)) == [["a", "b", "c", "d", "e"]]
+        # without line boundaries a newline is whitespace
+        assert list(tokenize(text)) == ["a", "b", "c", "d", "e"]
 
     def test_boundary_sentinel_never_produced_from_text(self):
         opts = TokenizerOptions(sentence_boundary="token")
         # a raw control char is whitespace, not a token, and only "\n" ends a line
         assert tokenize_lines("a \x1e b\nc", opts) == [["a", "b"], ["c"]]
-        assert list(tokenize("a \x1e b\nc", opts)) == [["a", "b", BREAK, "c"]]
+        assert list(tokenize("a \x1e b\nc", opts)) == ["a", "b", BREAK, "c"]
+        assert BREAK not in tokenize("a \x1e b\nc")
 
     def test_lone_surrogate_is_a_separator(self):
+        text = "a\ud800b \udfff\n-\ud83d\ude00-"
         for opts in ALL_OPTIONS:
-            got = tokenize_lines("a\ud800b \udfff\n-\ud83d\ude00-", opts)
-            assert got == tokenize_oracle("a\ud800b \udfff\n-\ud83d\ude00-", opts), opts
-            assert list(itertools.chain.from_iterable(got)) == ["a", "b", "-", "-"]
+            assert tokenize_lines(text, opts) == tokenize_oracle(text, opts), opts
+            assert [t for t in tokenize(text, opts) if t != BREAK] == ["a", "b", "-", "-"], opts
 
     def test_long_line_never_cut(self):
-        opts = TokenizerOptions(sentence_boundary="token")
-        text = "x " * corpus.CHUNK_CHARS + "\ny z"
-        assert list(tokenize(text, opts)) == [["x"] * corpus.CHUNK_CHARS + [BREAK], ["y", "z"]]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus, "CHUNK_CHARS", 4)
-            got = list(tokenize("abcdefgh ij\nk\n\nlm no", opts))
-        assert got == [["abcdefgh", "ij", BREAK], ["k", BREAK, BREAK, "lm", "no"]]
+        # in both modes a chunk runs to the first "\n" at or past CHUNK_CHARS
+        long_line = "x " * corpus.CHUNK_CHARS + "\ny z"
+        text = "abcdefgh ij\nk\n\nlm no"
+        for boundary, brk in (("none", []), ("token", [BREAK])):
+            opts = TokenizerOptions(sentence_boundary=boundary)
+            want = ["x"] * corpus.CHUNK_CHARS + brk + ["y", "z"]
+            assert list(tokenize(long_line, opts)) == want
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(corpus, "CHUNK_CHARS", 4)
+                chunks = list(corpus._chunks(text, corpus._token_pattern(text, bool(brk))))
+                got = list(tokenize(text, opts))
+            assert chunks == [["abcdefgh", "ij", *brk], ["k", *brk, *brk, "lm", "no"]]
+            assert got == list(itertools.chain.from_iterable(chunks))
 
     def test_bad_boundary_mode_rejected(self):
         with pytest.raises(ConfigError):
@@ -395,10 +399,31 @@ class TestBuildVocabulary:
                 mp.setattr(corpus, "CHUNK_CHARS", chunk)
                 if not segments:
                     with pytest.raises(IngestionError):
-                        build_vocabulary(tokenize(text, opts), top_k)
+                        build_vocabulary([tokenize(text, opts)], top_k)
                     continue
-                got = build_vocabulary(tokenize(text, opts), top_k)
+                got = build_vocabulary([tokenize(text, opts)], top_k)
             assert_same_encoding(got, build_vocabulary_oracle(segments, top_k))
+
+    def test_one_text_holds_one_chunk_of_token_strings(self):
+        # 300k tokens in lines of about 12 words (1.28M chars, ids 1.2 MB)
+        # under sentence_boundary="none": the traced peak was about 20 MB
+        # when the whole text went through one findall, and is about 3.7 MB
+        # when it goes through one chunk at a time
+        rng = np.random.default_rng(3)
+        n = 300_000
+        words = rng.choice(10_000, n, p=zipf_weights(10_000)).tolist()
+        seps = np.where(rng.random(n) < 1 / 12, "\n", " ").tolist()
+        text = "".join(f"w{w}{sep}" for w, sep in zip(words, seps))
+        tracemalloc.start()
+        try:
+            _, stream = build_vocabulary([tokenize(text)], 500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(stream) == n and not len(stream.breaks)
+        # three id-sized arrays, and 1 MiB for the rest (one chunk's token
+        # strings, the type dict)
+        assert peak <= 3 * stream.ids.nbytes + 2**20
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
