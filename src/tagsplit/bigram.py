@@ -9,10 +9,14 @@ columns, so the matrix is maintained incrementally (apply_move) and kept
 bit-identical to a from-scratch rebuild.  ContextBank owns a level's
 class ids and is the one place that knows where a word's class-context
 counts come from: dense V x C rows per side at the levels where those
-are at most EDGE_FACTOR cells per bigram pair, else the bigram edges and
-the class ids, so deep levels hold no V x C state.
+take at most BANK_BYTES_PER_PAIR bytes per bigram pair, else the bigram
+edges and the class ids, so deep levels hold no V x C state.
 
-All counts are int64; probabilities appear only in the objective module.
+Every count has the store's one count dtype, int32 below 2**31 bigrams
+and int64 above (see BigramStore): the store, the class matrix and its
+marginals, the bank's rows and every context count.  Word and class ids
+used in index arithmetic and flat indices stay int64 or intp;
+probabilities appear only in the objective module.
 """
 
 from __future__ import annotations
@@ -27,11 +31,15 @@ MAX_CLASSES = 1 << MAX_LEVELS  # dense storage bound
 
 
 class BigramStore:
-    """Immutable sparse adjacency counts plus the total bigram count T."""
+    """Immutable sparse adjacency counts plus the total bigram count T.
+
+    counts, succ_total, pred_total and self_count have the store's count
+    dtype: int32 while T < 2**31, else int64.
+    """
 
     def __init__(self, V: int, left: np.ndarray, right: np.ndarray, counts: np.ndarray):
         self.V = V
-        self.T = int(counts.sum())
+        self.T = int(counts.sum(dtype=np.int64))
         if self.T >= 2**53:
             raise ValueError("more than 2**53 bigrams: float64 sums of counts would round")
         # _edge_context packs (word, class, count) into one int64 to sort edge cells
@@ -40,20 +48,28 @@ class BigramStore:
                 f"a bigram count too large for {V} words: (word, class, count) "
                 "would not fit in 63 bits"
             )
+        # every count the search forms from counts that match the matrix
+        # lies in [-T, T]: cells, corners, marginals, context counts, their
+        # post-move values and each partial sum of batch_deltas.  E.g.
+        # ab - Lb + Ra <= ab + aa <= T, as Ra counts bigrams inside cell
+        # (a, a).  So below 2**31 no count wraps in int32, and one count
+        # dtype serves every kernel
+        dtype = np.int32 if self.T < 2**31 else np.int64
         # flat unique triples (left word, right word, count), lex-sorted
         order = np.lexsort((right, left))
-        self.left, self.right, self.counts = left[order], right[order], counts[order]
+        self.left, self.right = left[order], right[order]
+        self.counts = counts[order].astype(dtype, copy=False)
         self._succ_bounds = np.searchsorted(self.left, np.arange(V + 1))
         order_p = np.lexsort((self.left, self.right))
         self._pred_left = self.left[order_p]
         self._pred_right = self.right[order_p]
         self._pred_counts = self.counts[order_p]
         self._pred_bounds = np.searchsorted(self._pred_right, np.arange(V + 1))
-        self.succ_total = np.zeros(V, dtype=np.int64)
+        self.succ_total = np.zeros(V, dtype=dtype)
         np.add.at(self.succ_total, self.left, self.counts)
-        self.pred_total = np.zeros(V, dtype=np.int64)
+        self.pred_total = np.zeros(V, dtype=dtype)
         np.add.at(self.pred_total, self.right, self.counts)
-        self.self_count = np.zeros(V, dtype=np.int64)
+        self.self_count = np.zeros(V, dtype=dtype)
         diag = self.left == self.right
         self.self_count[self.left[diag]] = self.counts[diag]
 
@@ -113,21 +129,21 @@ def count_bigrams(stream: TokenStream, V: int | None = None) -> BigramStore:
     np.not_equal(key[1:], key[:-1], out=first[1:])
     starts = np.flatnonzero(first)
     uniq = key[starts].astype(np.int64)
-    cnt = np.diff(starts, append=len(key))
-    return BigramStore(V, uniq // V, uniq % V, cnt.astype(np.int64))
+    return BigramStore(V, uniq // V, uniq % V, np.diff(starts, append=len(key)))
 
 
 class ClassMatrix:
-    """Dense C x C class-bigram counts with row/column marginals."""
+    """Dense C x C class-bigram counts with row/column marginals of their dtype."""
 
     def __init__(self, C: int, counts: np.ndarray | None = None):
         if C < 1 or C > MAX_CLASSES:
             raise ValueError(f"class count must be in 1..{MAX_CLASSES}, got {C}")
         self.C = C
         self.counts = np.zeros((C, C), dtype=np.int64) if counts is None else counts
-        self.row = self.counts.sum(axis=1)
-        self.col = self.counts.sum(axis=0)
-        self.T = int(self.counts.sum())
+        dtype = self.counts.dtype
+        self.row = self.counts.sum(axis=1, dtype=dtype)
+        self.col = self.counts.sum(axis=0, dtype=dtype)
+        self.T = int(self.counts.sum(dtype=np.int64))
 
 
 def class_matrix(store: BigramStore, assignment: np.ndarray, C: int) -> ClassMatrix:
@@ -139,28 +155,29 @@ def class_matrix(store: BigramStore, assignment: np.ndarray, C: int) -> ClassMat
         raise ValueError(f"assignment contains a class id outside 0..{C - 1}")
     # one flat tally: np.add.at is faster on flat indices than on an index
     # pair; intp keys, so no narrow integer dtype can overflow
-    counts = np.zeros((C, C), dtype=np.int64)
+    counts = np.zeros((C, C), dtype=store.counts.dtype)
     keys = np.multiply(assignment[store.left], C, dtype=np.intp) + assignment[store.right]
     np.add.at(counts.ravel(), keys, store.counts)
     return ClassMatrix(C, counts)
 
 
 # A level keeps dense context rows, and ContextBank reads its counts from
-# them, only while C * V is at most EDGE_FACTOR times the pair count; above
-# that the counts come from the bigram edges and the class ids.  The factor
-# is a memory bound: the rows hold 2 * V * C int64 cells, so at most 64
-# bytes per bigram pair.  Timed per level on the final class ids of the
-# novel benchmark runs (batch_deltas over every eligible word, 2-vCPU x86
-# host, numpy 2.4.6, median of 7 alternating rounds), edge time over row
-# time is, by C * V / pairs:
+# them, only while the rows, 2 * V * C cells of the count dtype, take at
+# most BANK_BYTES_PER_PAIR bytes per bigram pair: C * V up to 8 times the
+# pair count for an int32 store, 4 times for an int64 one.  Above that the
+# counts come from the bigram edges and the class ids.  Timed per level on
+# the final class ids of the novel benchmark runs (batch_deltas over every
+# eligible word, int64 counts, 2-vCPU x86 host, numpy 2.4.6, median of 7
+# alternating rounds), edge time over row time is, by C * V / pairs:
 #   znrp, V=503:  2.53 -> 2.17,  5.06 -> 1.61,  10.1 -> 1.27,  20.2 -> 0.90
 #   znr,  V=253:  2.26 -> 2.31,  4.52 -> 1.87,  9.05 -> 1.41,  18.1 -> 1.21
 # so the rows, whose cells a bool-mask scan lists, stay faster up to about
-# 15-35 times the pair count, and at factor 4 the first two edge levels
-# pay 27-87% over rows for not holding them.  The factor stays at 4
-# all the same: a larger one keeps banks of 1-4 MB more per level on these
-# runs, and so raises peak RSS.
-EDGE_FACTOR = 4
+# 15-35 times the pair count.  int32 rows put level 7 of both runs on rows
+# (C * V / pairs 5.06 and 4.52), which cut its search CPU from 58 to 40 ms
+# (znrp) and from 65 to 36 ms (znr).  The bound stays at 64 bytes: more
+# keeps banks of 1-4 MB more per level on these runs, and so raises peak
+# RSS.
+BANK_BYTES_PER_PAIR = 64
 
 
 class ContextBank:
@@ -169,11 +186,12 @@ class ContextBank:
     A word w's context is L[c], the count of bigrams (w, v), and R[c], that
     of bigrams (v, w), with v in class c; f(w, w) = store.self_count[w] is
     in both at w's class.  `assignment` is the caller's class id array,
-    which only move writes.  While C * V is at most EDGE_FACTOR times the
-    pair count, left and right hold every word's L and R as dense V x C
-    rows, and a move repairs only its word's neighbours' rows; above that
-    they have no rows, and the counts come from the bigram edges and the
-    class ids, which give the same counts and cells in the same order.
+    which only move writes.  While the rows take at most
+    BANK_BYTES_PER_PAIR bytes per bigram pair, left and right hold every
+    word's L and R as dense V x C rows of the store's count dtype, and a
+    move repairs only its word's neighbours' rows; above that they have no
+    rows, and the counts come from the bigram edges and the class ids,
+    which give the same counts, in that dtype, and cells in the same order.
     """
 
     def __init__(self, store: BigramStore, assignment: np.ndarray, C: int):
@@ -184,9 +202,10 @@ class ContextBank:
         self.assignment = np.asarray(assignment)  # the caller's array itself
         self.C = C
         V = store.V
-        self.dense = C * V <= EDGE_FACTOR * len(store.counts)
+        dtype = store.counts.dtype
+        self.dense = 2 * C * V * dtype.itemsize <= BANK_BYTES_PER_PAIR * len(store.counts)
         if not self.dense:
-            self.left = self.right = np.zeros((0, C), dtype=np.int64)
+            self.left = self.right = np.zeros((0, C), dtype=dtype)
             return
 
         def tally(word: np.ndarray, neighbour: np.ndarray) -> np.ndarray:
@@ -194,7 +213,7 @@ class ContextBank:
             # exact, as every count totals at most T < 2**53
             key = word * C + self.assignment[neighbour]
             cells = np.bincount(key, store.counts, minlength=V * C)
-            return cells.astype(np.int64).reshape(V, C)
+            return cells.astype(dtype).reshape(V, C)
 
         self.left = tally(store.left, store.right)
         self.right = tally(store.right, store.left)
@@ -204,10 +223,11 @@ class ContextBank:
         if self.dense:
             return self.left[w], self.right[w]
         # float64 bincount sums are exact: a word's counts total at most T < 2**53
+        dtype = self.store.counts.dtype
         ids, cnts = self.store.succ(w)
-        L = np.bincount(self.assignment[ids], cnts, minlength=self.C).astype(np.int64)
+        L = np.bincount(self.assignment[ids], cnts, minlength=self.C).astype(dtype)
         ids, cnts = self.store.pred(w)
-        R = np.bincount(self.assignment[ids], cnts, minlength=self.C).astype(np.int64)
+        R = np.bincount(self.assignment[ids], cnts, minlength=self.C).astype(dtype)
         return L, R
 
     def cells(self, words: np.ndarray, a: np.ndarray) -> list[tuple]:
@@ -216,7 +236,8 @@ class ContextBank:
         One (k, j, x, at_a, at_b) per side, L then R: x > 0 is words[k]'s
         count at class j, for j other than a[k] and a[k] ^ 1, in row-major
         order of (k, j); at_a and at_b are the words' counts at a and
-        a ^ 1.
+        a ^ 1.  k and j are int64; x, at_a and at_b have the store's count
+        dtype.
         """
         b = a ^ 1
         if self.dense:
@@ -255,7 +276,7 @@ def _row_context(ctx: np.ndarray, words: np.ndarray, a: np.ndarray, b: np.ndarra
     at_a, at_b = flat[ia], flat[ib]
     flat[ia] = 0
     flat[ib] = 0
-    # a bool mask scans faster than the int64 counts themselves
+    # a bool mask scans faster than the counts themselves
     cell = np.flatnonzero(flat != 0)
     return cell >> (C.bit_length() - 1), cell & (C - 1), flat[cell], at_a, at_b
 
@@ -269,6 +290,7 @@ def _edge_context(edges, words, assignment: np.ndarray, C: int, a: np.ndarray, b
     order and each run of one key is one cell, whose counts sum exactly.
     """
     k, v, cnt = edges(words)
+    dtype = cnt.dtype
     cb = (C - 1).bit_length()
     bits = int(cnt.max(initial=0)).bit_length()
     packed = (k << cb | assignment[v]) << bits | cnt
@@ -277,13 +299,13 @@ def _edge_context(edges, words, assignment: np.ndarray, C: int, a: np.ndarray, b
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
     start = np.flatnonzero(first)
-    x = np.add.reduceat(cnt, start)
+    x = np.add.reduceat(cnt, start).astype(dtype)
     key = key[start]
     k, j = key >> cb, key & ((1 << cb) - 1)
     at_a, at_b = j == a[k], j == b[k]
     corners = []
     for at in (at_a, at_b):
-        corner = np.zeros(len(words), dtype=np.int64)
+        corner = np.zeros(len(words), dtype=dtype)
         corner[k[at]] = x[at]
         corners.append(corner)
     keep = ~(at_a | at_b)

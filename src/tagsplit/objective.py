@@ -28,7 +28,9 @@ with one 1-D gather per set of cells and no index pairs; as C is a power
 of two and b = a ^ 1, the line-b cell beside a line-a cell and the four
 corners are bit flips of one index.  Nonzero cells are listed by scanning
 a bool mask (np.flatnonzero(x != 0)), which is cheaper than scanning the
-int64 counts themselves.  line_terms sums the h-terms of a set of rows
+counts themselves.  Every count has the store's one count dtype (see
+bigram.BigramStore), so no kernel mixes int32 and int64 counts; h takes
+them to float64.  line_terms sums the h-terms of a set of rows
 and columns, so a commit confined to them is booked exactly.  delta_acmi
 is the scalar reference: it re-evaluates the two rows and columns before
 and after the move from the word's ContextBank.context, one masked
@@ -53,7 +55,7 @@ def acmi(matrix: ClassMatrix) -> float:
     if matrix.T == 0:
         raise UndefinedObjectiveError("ACMI is undefined on an empty matrix (T = 0)")
     N = matrix.counts
-    # one scan of a bool mask of the flat table, cheaper than of the int64
+    # one scan of a bool mask of the flat table, cheaper than of the
     # counts; the cells come in row-major order
     flat = np.flatnonzero(N != 0)
     i, j = flat // matrix.C, flat % matrix.C

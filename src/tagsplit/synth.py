@@ -12,6 +12,8 @@ are Zipf-distributed.  Output is reproducible from the seed alone.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .errors import ConfigError
@@ -51,11 +53,13 @@ def markov_text(
     open_sizes[np.argmax(open_sizes)] += remaining - int(open_sizes.sum())
     sizes = np.concatenate([closed_sizes, open_sizes])
 
-    members: list[np.ndarray] = []
+    # each state's words; every token of a word is the one str object
+    names = [f"w{i}" for i in range(n_types)]
+    members: list[list[str]] = []
     start = 0
-    for s in sizes:
-        members.append(np.arange(start, start + int(s)))
-        start += int(s)
+    for s in sizes.tolist():
+        members.append(names[start : start + s])
+        start += s
 
     # sparse, skewed transitions: each state prefers a handful of successors
     trans = np.zeros((n_states, n_states))
@@ -69,7 +73,11 @@ def markov_text(
         trans[i, glue] += 0.8
     trans /= trans.sum(axis=1, keepdims=True)
 
-    emit = [zipf_weights(len(m)) for m in members]
+    # rng.choice(n, p=p) draws one double u and returns the first index
+    # whose cdf, built as below, exceeds u; drawing a sentence's doubles at
+    # once and bisecting gives the same text far faster
+    emit = [_cdf(zipf_weights(len(m))) for m in members]
+    step = [_cdf(row) for row in trans]
     start_dist = zipf_weights(n_states, 0.8)
 
     sentences: list[list[str]] = []
@@ -77,12 +85,17 @@ def markov_text(
     state = int(rng.choice(n_states, p=start_dist))
     while produced < n_tokens:
         length = max(2, int(rng.geometric(1.0 / mean_sentence_len)))
+        u = rng.random(2 * length).tolist()
         sent = []
-        for _ in range(length):
-            words = members[state]
-            word = int(words[rng.choice(len(words), p=emit[state])])
-            sent.append(f"w{word}")
-            state = int(rng.choice(n_states, p=trans[state]))
+        for i in range(0, 2 * length, 2):
+            sent.append(members[state][bisect_right(emit[state], u[i])])
+            state = bisect_right(step[state], u[i + 1])
         sentences.append(sent)
         produced += len(sent)
     return sentences
+
+
+def _cdf(p: np.ndarray) -> list[float]:
+    # as Generator.choice builds it from p; a state with no words has none
+    cdf = p.cumsum()
+    return (cdf / cdf[-1]).tolist() if len(cdf) else []

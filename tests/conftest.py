@@ -33,10 +33,11 @@ from tagsplit import bigram, objective
 from tagsplit.bigram import ContextBank
 from tagsplit.corpus import _PSEUDO_LABEL_RE, LEXICAL, PSEUDO, VocabEntry
 
-# EDGE_FACTOR values under which every ContextBank keeps dense rows, or
-# reads the bigram edges: C * V <= EDGE_FACTOR * pairs holds at 2**40 for
-# every store a test builds with at least one pair, and at 0 for none
-SOURCE_FACTOR = {"rows": 2**40, "edges": 0}
+# BANK_BYTES_PER_PAIR values under which every ContextBank keeps dense
+# rows, or reads the bigram edges: 2 * C * V * itemsize <= bytes * pairs
+# holds at 2**40 for every store a test builds with at least one pair, and
+# at 0 for none
+SOURCE_BYTES = {"rows": 2**40, "edges": 0}
 
 
 def make_stream(ids, breaks=()) -> TokenStream:
@@ -110,7 +111,7 @@ def context_source(source: str):
     """Every ContextBank built inside reads its counts from `source`,
     "rows" or "edges"."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bigram, "EDGE_FACTOR", SOURCE_FACTOR[source])
+        mp.setattr(bigram, "BANK_BYTES_PER_PAIR", SOURCE_BYTES[source])
         yield
 
 

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from tagsplit import BigramStore, ConsistencyError, class_matrix, count_bigrams
 from tagsplit.bigram import ContextBank, apply_move
+from tagsplit.objective import batch_deltas, delta_acmi
 from conftest import (
     bank_from,
     class_matrix_oracle,
@@ -446,3 +448,104 @@ class TestApplyMove:
             fresh = context_vectors(store, assignment, w, C)
             assert np.array_equal(bank.left[w], fresh.left)
             assert np.array_equal(bank.right[w], fresh.right)
+
+
+def store_with_total(T, seed=0, V=8):
+    """A hand-built store of random pairs whose counts total exactly T."""
+    _, _, small = random_instance(seed, V=V, length=120)
+    counts = small.counts.astype(np.int64) * (T // small.T)
+    counts[0] += T - counts.sum()
+    return BigramStore(V, small.left, small.right, counts)
+
+
+def widened(store):
+    """A copy of store whose counts are int64, whatever its total."""
+    wide = copy.copy(store)
+    for name in ("counts", "_pred_counts", "succ_total", "pred_total", "self_count"):
+        setattr(wide, name, getattr(store, name).astype(np.int64))
+    return wide
+
+
+class TestCountDtype:
+    """A store counts in int32 below 2**31 bigrams, else in int64, and every
+    count built from it keeps that dtype."""
+
+    @pytest.mark.parametrize("T, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+    def test_one_dtype_from_store_to_cells(self, T, dtype):
+        store = store_with_total(T)
+        assert store.T == T
+        for counts in (store.counts, store.succ_total, store.pred_total, store.self_count):
+            assert counts.dtype == dtype
+        assert store.left.dtype == store.right.dtype == np.int64
+        C = 4
+        assignment = np.arange(store.V, dtype=np.int32) % C
+        matrix = class_matrix(store, assignment, C)
+        assert matrix.counts.dtype == matrix.row.dtype == matrix.col.dtype == dtype
+        assert matrix.T == T
+        words = np.arange(store.V)
+        for source in ("rows", "edges"):
+            bank = bank_from(source, store, assignment, C)
+            assert bank.left.dtype == bank.right.dtype == dtype
+            L, R = bank.context(0)
+            assert L.dtype == R.dtype == dtype
+            for k, j, *counts in bank.cells(words, assignment):
+                assert k.dtype == j.dtype == np.int64
+                assert all(x.dtype == dtype for x in counts)
+
+    @pytest.mark.parametrize("T, factor", [(2**31 - 1, 8), (2**31, 4)])
+    def test_rows_kept_to_64_bytes_per_pair(self, T, factor):
+        # C * V up to 8 times the pair count for int32 rows, 4 for int64
+        store = store_with_total(T, V=8)
+        pairs = len(store.counts)
+        choices = []
+        for C in (2 << i for i in range(10)):
+            bank = ContextBank(store, np.zeros(store.V, dtype=np.int32), C)
+            assert bank.dense == (C * store.V <= factor * pairs)
+            assert bank.left.nbytes + bank.right.nbytes <= 64 * pairs
+            choices.append(bank.dense)
+        assert True in choices and False in choices
+
+    @pytest.mark.parametrize("source", ["rows", "edges"])
+    def test_int32_at_its_widest_matches_int64(self, source):
+        # at T = 2**31 - 1 every batch delta equals delta_acmi on an int64
+        # copy, and the moved int32 matrix equals an int64 rebuild
+        store = store_with_total(2**31 - 1, seed=3, V=12)
+        wide = widened(store)
+        C = 8
+        rng = np.random.default_rng(3)
+        assignment = rng.integers(0, C, store.V).astype(np.int32)
+        matrix = class_matrix(store, assignment, C)
+        bank = bank_from(source, store, assignment, C)
+        assert matrix.counts.dtype == np.int32
+        words = np.arange(store.V)
+        for w in map(int, rng.integers(0, store.V, 40)):
+            wide_matrix = class_matrix(wide, assignment, C)
+            assert wide_matrix.counts.dtype == np.int64
+            wide_bank = bank_from(source, wide, assignment.copy(), C)
+            want = [
+                delta_acmi(wide_matrix, wide_bank, int(v), int(c), int(c) ^ 1)
+                for v, c in zip(words, assignment)
+            ]
+            got = batch_deltas(matrix, bank, words, assignment[words])
+            assert np.allclose(got, want, rtol=0, atol=1e-9)
+            frm = int(assignment[w])
+            apply_move(matrix, bank, w, frm, frm ^ 1)
+            bank.move(w, frm, frm ^ 1)
+            rebuilt = class_matrix(wide, assignment, C)
+            assert np.array_equal(matrix.counts, rebuilt.counts)
+            assert np.array_equal(matrix.row, rebuilt.row)
+            assert np.array_equal(matrix.col, rebuilt.col)
+
+    def test_int32_class_matrix_at_1024_classes_is_4_mib(self):
+        _, assignment, store = random_instance(9, V=60, length=1500, C=1024)
+        assert store.counts.dtype == np.int32
+        tracemalloc.start()
+        try:
+            matrix = class_matrix(store, assignment, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.counts.nbytes == 4 * 2**20
+        # the table and 1 MiB for the pair-sized keys and the marginals;
+        # an int64 table alone would take 8 MiB
+        assert peak <= 5 * 2**20

@@ -400,8 +400,9 @@ class TestContextCellBranches:
             for bank in (rows, edges):
                 got = bank.cells(part, assignment[part])
                 for side, expected in zip(got, want):
-                    for g, e in zip(side, expected):
-                        assert g.dtype == np.int64
+                    # k and j index; x, at_a and at_b are counts
+                    for g, e, dtype in zip(side, expected, [np.int64] * 2 + [store.counts.dtype] * 3):
+                        assert g.dtype == dtype
                         assert np.array_equal(g, e)
         cells = rows.cells(words, assignment)
         for k, *_ in cells:
@@ -461,8 +462,9 @@ class TestContextCellBranches:
 
 # SHA-256 of the raw float64 bytes of every batch_deltas result, in call
 # order, over a 10-level run on a seeded Markov corpus (V=153, 2,917
-# pairs), recorded with numpy 2.4.6 on x86-64.  Levels 1-6 (C=2-64) read
-# dense bank rows and levels 7-10 (C=128-1024) bigram edges.
+# pairs), recorded with numpy 2.4.6 on x86-64.  Levels 1-7 (C=2-128) read
+# dense bank rows of int32 counts and levels 8-10 (C=256-1024) bigram
+# edges; the digests are those recorded when levels 1-6 read int64 rows.
 GOLDEN_KERNEL_SHA256 = {
     "znr": "919821aeae3dc05d578ee25b7abcd9e38df8192f07c9b549067c92fe5859fb5e",
     "znrp": "19f8f8501fcb1b00f55732a080bfca0aa9e74c7ee7eb4bdcf4c0baa832e58bae",
@@ -486,5 +488,6 @@ def test_kernel_bits_match_recorded_sha256(strategy, monkeypatch):
 
     monkeypatch.setattr(splitter, "batch_deltas", hashed)
     cluster(vocab, store, ClusterConfig(strategy=strategy, levels=10))
-    assert sources == {(1 << level, level <= 6) for level in range(1, 11)}
+    assert store.counts.dtype == np.int32
+    assert sources == {(1 << level, level <= 7) for level in range(1, 11)}
     assert digest.hexdigest() == GOLDEN_KERNEL_SHA256[strategy]

@@ -20,7 +20,7 @@ from tagsplit import (
     oracle_min_moves,
 )
 from tagsplit import splitter
-from tagsplit.bigram import EDGE_FACTOR, ContextBank
+from tagsplit.bigram import BANK_BYTES_PER_PAIR, ContextBank
 from tagsplit.objective import delta_acmi
 from tagsplit.splitter import ClusterState, init_level, run_level
 from tagsplit.synth import markov_text
@@ -225,15 +225,16 @@ class TestCommitRetract:
             for old, new in zip(before, snapshot()):
                 assert np.array_equal(old, new)
 
-    @pytest.mark.parametrize("level", [1, 3, 5, 7, 10])
+    @pytest.mark.parametrize("level", [1, 3, 5, 7, 8, 10])
     def test_move_sequences_match_rebuild(self, level):
-        # V=60 and about 1,000 pairs put the crossover between levels 6
-        # and 7 (C * V against EDGE_FACTOR * pairs), so both kinds of
-        # level are covered
+        # V=60 and about 1,200 pairs of int32 counts put the crossover
+        # between levels 7 and 8 (2 * C * V * 4 bytes against
+        # BANK_BYTES_PER_PAIR * pairs), so both kinds of level are covered
         C = 1 << level
         _, assignment, store = random_instance(40 + level, V=60, length=1500, C=C)
+        assert store.counts.dtype == np.int32
         state = ClusterState(store, assignment, level)
-        assert state.bank.dense == (level < 7)
+        assert state.bank.dense == (level < 8)
         rng = np.random.default_rng(level)
         for step in range(300):
             w = int(rng.integers(0, store.V))
@@ -252,16 +253,25 @@ class TestCommitRetract:
             assert np.array_equal(state.bank.right, fresh.right)
 
 
+def dense_rows(store, C):
+    """Whether a bank at C classes keeps rows: both sides' V x C cells take
+    at most BANK_BYTES_PER_PAIR bytes per bigram pair."""
+    cells = 2 * C * store.V
+    return cells * store.counts.itemsize <= BANK_BYTES_PER_PAIR * len(store.counts)
+
+
 class TestContextBankChoice:
     @pytest.mark.parametrize("seed", range(6))
     def test_bank_exactly_below_the_crossover(self, seed):
         _, assignment, store = random_instance(seed, C=2)
         for level in range(1, 11):
             state = ClusterState(store, assignment, level)
-            dense = (1 << level) * store.V <= EDGE_FACTOR * len(store.counts)
+            dense = dense_rows(store, 1 << level)
             assert state.bank.dense == dense
             rows = store.V if dense else 0
             assert state.bank.left.shape == state.bank.right.shape == (rows, 1 << level)
+            bank_bytes = state.bank.left.nbytes + state.bank.right.nbytes
+            assert bank_bytes <= BANK_BYTES_PER_PAIR * len(store.counts)
 
     def test_no_bank_allocated_above_the_crossover(self, monkeypatch):
         # every ContextBank a run builds with dense rows, by class count
@@ -279,10 +289,7 @@ class TestContextBankChoice:
 
         monkeypatch.setattr(ContextBank, "__init__", counted)
         cluster(vocab, store, ClusterConfig(strategy="znrp", levels=10))
-        dense = [
-            1 << level for level in range(1, 11)
-            if (1 << level) * store.V <= EDGE_FACTOR * len(store.counts)
-        ]
+        dense = [1 << level for level in range(1, 11) if dense_rows(store, 1 << level)]
         assert built == dense
         assert 0 < len(dense) < 10
 
