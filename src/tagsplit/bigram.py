@@ -9,8 +9,10 @@ columns, so the matrix is maintained incrementally (apply_move) and kept
 bit-identical to a from-scratch rebuild.  ContextBank owns a level's
 class ids and is the one place that knows where a word's class-context
 counts come from: dense V x C rows per side at the levels where those
-take at most BANK_BYTES_PER_PAIR bytes per bigram pair, else the bigram
-edges and the class ids, so deep levels hold no V x C state.
+take at most BANK_BYTES_PER_PAIR bytes per bigram pair or fit under the
+run's last class matrix, else the bigram edges and the class ids, so the
+last level and any level whose rows would be too large hold no V x C
+state.
 
 Every count has the store's one count dtype, int32 below 2**31 bigrams
 and int64 above (see BigramStore): the store, the class matrix and its
@@ -162,21 +164,29 @@ def class_matrix(store: BigramStore, assignment: np.ndarray, C: int) -> ClassMat
 
 
 # A level keeps dense context rows, and ContextBank reads its counts from
-# them, only while the rows, 2 * V * C cells of the count dtype, take at
-# most BANK_BYTES_PER_PAIR bytes per bigram pair: C * V up to 8 times the
-# pair count for an int32 store, 4 times for an int64 one.  Above that the
-# counts come from the bigram edges and the class ids.  Timed per level on
-# the final class ids of the novel benchmark runs (batch_deltas over every
-# eligible word, int64 counts, 2-vCPU x86 host, numpy 2.4.6, median of 7
-# alternating rounds), edge time over row time is, by C * V / pairs:
-#   znrp, V=503:  2.53 -> 2.17,  5.06 -> 1.61,  10.1 -> 1.27,  20.2 -> 0.90
-#   znr,  V=253:  2.26 -> 2.31,  4.52 -> 1.87,  9.05 -> 1.41,  18.1 -> 1.21
+# them, while the rows, 2 * V * C cells of the count dtype, take at most
+# BANK_BYTES_PER_PAIR bytes per bigram pair (C * V up to 8 times the pair
+# count for an int32 store, 4 times for an int64 one), or at most a
+# quarter of the bytes by which the run's last class matrix outgrows this
+# level's.  Otherwise the counts come from the bigram edges and the class
+# ids.  Timed per level L6-L10 on the final class ids of the novel
+# benchmark runs (batch_deltas over every eligible word, int32 counts,
+# 2-vCPU x86 host, numpy 2.4.6, median of 9 alternating rounds), edge time
+# over row time is, by C * V / pairs:
+#   znrp, V=503:  2.53 -> 2.53,  5.06 -> 1.80,  10.1 -> 1.47,  20.2 -> 1.21,  40.4 -> 0.88
+#   znr,  V=253:  2.26 -> 2.57,  4.52 -> 2.19,  9.05 -> 1.57,  18.1 -> 1.37,  36.2 -> 1.20
 # so the rows, whose cells a bool-mask scan lists, stay faster up to about
-# 15-35 times the pair count.  int32 rows put level 7 of both runs on rows
-# (C * V / pairs 5.06 and 4.52), which cut its search CPU from 58 to 40 ms
-# (znrp) and from 65 to 36 ms (znr).  The bound stays at 64 bytes: more
-# keeps banks of 1-4 MB more per level on these runs, and so raises peak
-# RSS.
+# 25-40 times the pair count.  The pair bound puts L7 of both runs on
+# rows; a larger one would keep banks of 1-4 MB more on these runs and
+# raise their peak RSS.  The headroom raises no peak: a run's memory
+# peaks at its last level, whose class matrix (4 MiB of int32 at C = 1024)
+# covers a bank, its build's float64 tally of one side and the scorer's
+# gathered copy of it, each as large as the rows.  A quarter, not a half:
+# at half, L8 of novel-znrp (V=503, a 1.03 MB bank) went on rows and its
+# benchmark peak RSS rose 0.26 MB in 20 of 20 pairs of runs.  The
+# headroom puts L8 of novel-znr (V=253) on rows, which cut its search CPU
+# (state build included, median of alternating rounds) from about 35 to
+# 23 ms.
 BANK_BYTES_PER_PAIR = 64
 
 
@@ -186,15 +196,20 @@ class ContextBank:
     A word w's context is L[c], the count of bigrams (w, v), and R[c], that
     of bigrams (v, w), with v in class c; f(w, w) = store.self_count[w] is
     in both at w's class.  `assignment` is the caller's class id array,
-    which only move writes.  While the rows take at most
-    BANK_BYTES_PER_PAIR bytes per bigram pair, left and right hold every
-    word's L and R as dense V x C rows of the store's count dtype, and a
-    move repairs only its word's neighbours' rows; above that they have no
-    rows, and the counts come from the bigram edges and the class ids,
-    which give the same counts, in that dtype, and cells in the same order.
+    which only move writes.  last_C, if given, is the class count of the
+    run's last level.  While the rows take at most BANK_BYTES_PER_PAIR
+    bytes per bigram pair, or at most a quarter of the bytes by which a
+    class matrix of last_C classes outgrows one of C, left and right hold
+    every word's L and R as dense V x C rows of the store's count dtype,
+    and a move repairs only its word's neighbours' rows; otherwise they
+    have no rows, and the counts come from the bigram edges and the class
+    ids, which give the same counts, in that dtype, and cells in the same
+    order.
     """
 
-    def __init__(self, store: BigramStore, assignment: np.ndarray, C: int):
+    def __init__(
+        self, store: BigramStore, assignment: np.ndarray, C: int, last_C: int | None = None
+    ):
         if C < 1 or C & (C - 1):
             # cells and batch_deltas address a class by its bits
             raise ValueError(f"class count must be a power of two, got {C}")
@@ -203,7 +218,12 @@ class ContextBank:
         self.C = C
         V = store.V
         dtype = store.counts.dtype
-        self.dense = 2 * C * V * dtype.itemsize <= BANK_BYTES_PER_PAIR * len(store.counts)
+        # rows may also take a quarter of what the run's last class matrix,
+        # last_C**2 cells, will hold above this level's; the rest is for
+        # the build's tally and the scorer's gathered copy of them
+        headroom = (last_C**2 - C**2) * dtype.itemsize // 4 if last_C else 0
+        budget = max(BANK_BYTES_PER_PAIR * len(store.counts), headroom)
+        self.dense = 2 * C * V * dtype.itemsize <= budget
         if not self.dense:
             self.left = self.right = np.zeros((0, C), dtype=dtype)
             return

@@ -37,10 +37,12 @@ second time as the drift guard.
 
 Each level's ContextBank holds its int32 class ids and decides once, when
 the ClusterState is built, where the words' context counts come from:
-dense V x C rows at the shallow levels, the bigram edges at the deep ones
-(see bigram.ContextBank).  A move reads the word's mass per class from
-the bank, and the classes where that mass is nonzero are the ones it
-disturbs.  cluster() drops each level's state before it builds the next.
+dense V x C rows while they fit in a bound per bigram pair or under the
+memory the run's last class matrix will take, the bigram edges otherwise,
+as at the last level (see bigram.ContextBank).  A move reads the word's
+mass per class from the bank, and the classes where that mass is nonzero
+are the ones it disturbs.  cluster() drops each level's state before it
+builds the next.
 
 A word alone in its class rides down with bit 0 and stays alone: moves
 only cross sibling classes and a lone word is never eligible.  Its tag
@@ -188,7 +190,9 @@ class ClusterState:
     delta[w] is w's move delta as last scored, current unless dirty flags
     a class of w's sibling pair (see the module docstring).  words_scored
     and words_eligible count the words rescored and chosen from over the
-    level's steps.
+    level's steps.  last_C, the class count of the run's last level, goes
+    to the bank, which may keep rows in the memory that level's class
+    matrix will take (see bigram.ContextBank).
     """
 
     def __init__(
@@ -199,12 +203,13 @@ class ClusterState:
         pinned_mask: np.ndarray | None = None,
         epsilon: float = EPSILON,
         max_iterations: int | None = None,
+        last_C: int | None = None,
     ):
         self.level = level
         self.C = 1 << level
         self.assignment = np.array(assignment, dtype=np.int32)
         self.matrix = class_matrix(store, self.assignment, self.C)
-        self.bank = ContextBank(store, self.assignment, self.C)
+        self.bank = ContextBank(store, self.assignment, self.C, last_C)
         self.pinned_mask = (
             np.zeros(store.V, dtype=bool) if pinned_mask is None else pinned_mask
         )
@@ -378,7 +383,12 @@ def cluster(
             class_of, level - 1, config.strategy, config.seed, pinned_bits
         )
         state = ClusterState(
-            store, class_of, level, pinned_mask=pinned_mask, epsilon=config.epsilon
+            store,
+            class_of,
+            level,
+            pinned_mask=pinned_mask,
+            epsilon=config.epsilon,
+            last_C=1 << config.levels,
         )
         stats.append(run_level(state, config.strategy))
         class_of = state.assignment

@@ -35,9 +35,12 @@ def markov_text(
 
     Returns a list of sentences (lists of word strings) so callers can
     write one per line.  Word w{i} belongs to exactly one hidden state.
+    With n_types close to n_states some states may get no words; a draw
+    that reaches one raises ConfigError.
     """
-    if n_tokens < 1 or n_types < n_states or n_states < 2:
-        raise ConfigError("need n_tokens >= 1 and n_types >= n_states >= 2")
+    # a state draws between 3 and min(8, n_states - 1) successors
+    if n_tokens < 1 or n_types < n_states or n_states < 4:
+        raise ConfigError("need n_tokens >= 1 and n_types >= n_states >= 4")
     rng = np.random.default_rng(seed)
 
     # closed states get few, very frequent words; open states share the rest
@@ -88,6 +91,11 @@ def markov_text(
         u = rng.random(2 * length).tolist()
         sent = []
         for i in range(0, 2 * length, 2):
+            if not members[state]:
+                raise ConfigError(
+                    f"state {state} has no words: n_types={n_types} is too few "
+                    f"for n_states={n_states}"
+                )
             sent.append(members[state][bisect_right(emit[state], u[i])])
             state = bisect_right(step[state], u[i + 1])
         sentences.append(sent)

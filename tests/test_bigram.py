@@ -505,6 +505,42 @@ class TestCountDtype:
             choices.append(bank.dense)
         assert True in choices and False in choices
 
+    @pytest.mark.parametrize(
+        "V, pairs, levels, wide, with_last, without_last",
+        [
+            # the pair bound keeps L1-L7 on rows, the headroom L8-L9
+            (153, 2917, 10, False, "rrrrrrrrre", "rrrrrrreee"),
+            (153, 2917, 10, True, "rrrrrrrrre", "rrrrrreeee"),
+            # at V=703 the headroom takes L7 only
+            (703, 8121, 10, False, "rrrrrrreee", "rrrrrreeee"),
+            (50, 500, 8, True, "rrrrrree", "rrrrreee"),
+            # the pair bound alone decides
+            (50, 500, 8, False, "rrrrrree", "rrrrrree"),
+            (75, 2969, 4, False, "rrrr", "rrrr"),
+            (300, 40000, 10, False, "rrrrrrrrrr", "rrrrrrrrrr"),
+            (1000, 100, 3, False, "eee", "eee"),
+        ],
+    )
+    def test_rows_kept_within_the_larger_bound(
+        self, V, pairs, levels, wide, with_last, without_last
+    ):
+        # rows while 2 * C * V * itemsize fits in 64 bytes per pair, or in
+        # a quarter of what the last class matrix holds above this level's
+        key = np.arange(pairs)
+        count = -(-(2**31) // pairs) if wide else 1
+        store = BigramStore(V, key // V, key % V, np.full(pairs, count, dtype=np.int64))
+        itemsize = 8 if wide else 4
+        assert store.counts.itemsize == itemsize
+        last_C = 1 << levels
+        for last, want in ((last_C, with_last), (None, without_last)):
+            choices = ""
+            for C in (1 << level for level in range(1, levels + 1)):
+                bank = ContextBank(store, np.zeros(V, dtype=np.int32), C, last)
+                headroom = (last_C**2 - C**2) * itemsize // 4 if last else 0
+                assert bank.left.nbytes + bank.right.nbytes <= max(64 * pairs, headroom)
+                choices += "r" if bank.dense else "e"
+            assert choices == want
+
     @pytest.mark.parametrize("source", ["rows", "edges"])
     def test_int32_at_its_widest_matches_int64(self, source):
         # at T = 2**31 - 1 every batch delta equals delta_acmi on an int64

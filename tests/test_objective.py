@@ -22,7 +22,14 @@ from tagsplit import objective, splitter
 from tagsplit.bigram import ContextBank, apply_move
 from tagsplit.objective import batch_deltas, delta_acmi
 from tagsplit.synth import markov_text
-from conftest import acmi_oracle, bank_from, cells_oracle, make_stream, random_instance
+from conftest import (
+    acmi_oracle,
+    bank_from,
+    cells_oracle,
+    context_source,
+    make_stream,
+    random_instance,
+)
 
 
 def matrix_from(counts) -> ClassMatrix:
@@ -462,20 +469,24 @@ class TestContextCellBranches:
 
 # SHA-256 of the raw float64 bytes of every batch_deltas result, in call
 # order, over a 10-level run on a seeded Markov corpus (V=153, 2,917
-# pairs), recorded with numpy 2.4.6 on x86-64.  Levels 1-7 (C=2-128) read
-# dense bank rows of int32 counts and levels 8-10 (C=256-1024) bigram
-# edges; the digests are those recorded when levels 1-6 read int64 rows.
+# pairs), recorded with numpy 2.4.6 on x86-64.  By default levels 1-9
+# (C=2-512) read dense bank rows of int32 counts and level 10 (C=1024)
+# bigram edges; forced onto the edges at every level, the run gives the
+# same digests.  They are those recorded when levels 1-6 read int64 rows
+# and levels 8-9 read edges.
 GOLDEN_KERNEL_SHA256 = {
     "znr": "919821aeae3dc05d578ee25b7abcd9e38df8192f07c9b549067c92fe5859fb5e",
     "znrp": "19f8f8501fcb1b00f55732a080bfca0aa9e74c7ee7eb4bdcf4c0baa832e58bae",
 }
 
 
-@pytest.mark.parametrize("strategy", sorted(GOLDEN_KERNEL_SHA256))
-def test_kernel_bits_match_recorded_sha256(strategy, monkeypatch):
+def kernel_run(strategy, monkeypatch):
+    """(C, dense) of every batch_deltas call of a 10-level run, and the
+    SHA-256 of every result's raw bytes in call order."""
     # pins every delta to the bit, not only the picks the tags show
     vocab, stream = build_vocabulary(markov_text(20000, n_types=2000, n_states=16, seed=5), 150)
     store = count_bigrams(stream, vocab.size)
+    assert store.counts.dtype == np.int32
     digest = hashlib.sha256()
     sources = set()
 
@@ -488,6 +499,21 @@ def test_kernel_bits_match_recorded_sha256(strategy, monkeypatch):
 
     monkeypatch.setattr(splitter, "batch_deltas", hashed)
     cluster(vocab, store, ClusterConfig(strategy=strategy, levels=10))
-    assert store.counts.dtype == np.int32
-    assert sources == {(1 << level, level <= 7) for level in range(1, 11)}
-    assert digest.hexdigest() == GOLDEN_KERNEL_SHA256[strategy]
+    return sources, digest.hexdigest()
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_KERNEL_SHA256))
+def test_kernel_bits_match_recorded_sha256(strategy, monkeypatch):
+    sources, digest = kernel_run(strategy, monkeypatch)
+    assert sources == {(1 << level, level <= 9) for level in range(1, 11)}
+    assert digest == GOLDEN_KERNEL_SHA256[strategy]
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_KERNEL_SHA256))
+def test_kernel_bits_on_forced_edges_match_recorded_sha256(strategy, monkeypatch):
+    # keeps the edge source pinned to the bit at the levels the default
+    # rule now puts on rows
+    with context_source("edges"):
+        sources, digest = kernel_run(strategy, monkeypatch)
+    assert sources == {(1 << level, False) for level in range(1, 11)}
+    assert digest == GOLDEN_KERNEL_SHA256[strategy]

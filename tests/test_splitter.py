@@ -1,3 +1,6 @@
+import contextlib
+import itertools
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -253,25 +256,49 @@ class TestCommitRetract:
             assert np.array_equal(state.bank.right, fresh.right)
 
 
-def dense_rows(store, C):
+def dense_rows(store, C, last_C=None):
     """Whether a bank at C classes keeps rows: both sides' V x C cells take
-    at most BANK_BYTES_PER_PAIR bytes per bigram pair."""
-    cells = 2 * C * store.V
-    return cells * store.counts.itemsize <= BANK_BYTES_PER_PAIR * len(store.counts)
+    at most BANK_BYTES_PER_PAIR bytes per bigram pair, or at most a
+    quarter of what a class matrix of last_C classes holds above one of C."""
+    rows = 2 * C * store.V * store.counts.itemsize
+    headroom = (last_C**2 - C**2) * store.counts.itemsize // 4 if last_C else 0
+    return rows <= max(BANK_BYTES_PER_PAIR * len(store.counts), headroom)
+
+
+def corpus_of(top_k):
+    vocab, stream = build_vocabulary(
+        markov_text(20_000, n_types=2000, n_states=16, seed=5), top_k
+    )
+    return vocab, count_bigrams(stream, vocab.size)
+
+
+def banks_built(monkeypatch):
+    """The (C, dense) of every ContextBank built from now on, in order."""
+    built = []
+    init = ContextBank.__init__
+
+    def recorded(bank, *args, **kwargs):
+        init(bank, *args, **kwargs)
+        built.append((bank.C, bank.dense))
+
+    monkeypatch.setattr(ContextBank, "__init__", recorded)
+    return built
 
 
 class TestContextBankChoice:
     @pytest.mark.parametrize("seed", range(6))
     def test_bank_exactly_below_the_crossover(self, seed):
         _, assignment, store = random_instance(seed, C=2)
-        for level in range(1, 11):
-            state = ClusterState(store, assignment, level)
-            dense = dense_rows(store, 1 << level)
+        for last_C, level in itertools.product([None, 1024], range(1, 11)):
+            C = 1 << level
+            state = ClusterState(store, assignment, level, last_C=last_C)
+            dense = dense_rows(store, C, last_C)
             assert state.bank.dense == dense
             rows = store.V if dense else 0
-            assert state.bank.left.shape == state.bank.right.shape == (rows, 1 << level)
+            assert state.bank.left.shape == state.bank.right.shape == (rows, C)
             bank_bytes = state.bank.left.nbytes + state.bank.right.nbytes
-            assert bank_bytes <= BANK_BYTES_PER_PAIR * len(store.counts)
+            headroom = (last_C**2 - C**2) * store.counts.itemsize // 4 if last_C else 0
+            assert bank_bytes <= max(BANK_BYTES_PER_PAIR * len(store.counts), headroom)
 
     def test_no_bank_allocated_above_the_crossover(self, monkeypatch):
         # every ContextBank a run builds with dense rows, by class count
@@ -282,16 +309,76 @@ class TestContextBankChoice:
         built = []
         init = ContextBank.__init__
 
-        def counted(bank, store, assignment, C):
-            init(bank, store, assignment, C)
+        def counted(bank, store, assignment, C, last_C=None):
+            assert last_C == 1 << 10
+            init(bank, store, assignment, C, last_C)
             if bank.left.size:
                 built.append(C)
 
         monkeypatch.setattr(ContextBank, "__init__", counted)
         cluster(vocab, store, ClusterConfig(strategy="znrp", levels=10))
-        dense = [1 << level for level in range(1, 11) if dense_rows(store, 1 << level)]
+        dense = [1 << level for level in range(1, 11) if dense_rows(store, 1 << level, 1 << 10)]
         assert built == dense
-        assert 0 < len(dense) < 10
+        # the headroom puts a level on rows that the pair bound alone would not
+        assert 0 < len([C for C in dense if not dense_rows(store, C)]) < len(dense) < 10
+
+    @pytest.mark.parametrize("top_k, sources", [(150, "rrrrrrrrre"), (600, "rrrrrrreee")])
+    def test_no_level_peaks_above_the_last(self, top_k, sources, monkeypatch):
+        # rows the headroom admits, with their build's tally and the
+        # scorer's gathered copy of them, fit in memory the last level
+        # holds anyway.  At top_k=600 a bound
+        # of the whole headroom would put L9 on rows and raise its peak
+        # above L10's
+        vocab, store = corpus_of(top_k)
+        built = banks_built(monkeypatch)
+        peaks = []
+        init, run = ClusterState.__init__, splitter.run_level
+
+        def level_start(state, *args, **kwargs):
+            tracemalloc.reset_peak()
+            init(state, *args, **kwargs)
+
+        def level_end(state, strategy):
+            stats = run(state, strategy)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return stats
+
+        monkeypatch.setattr(ClusterState, "__init__", level_start)
+        monkeypatch.setattr(splitter, "run_level", level_end)
+        tracemalloc.start()
+        try:
+            cluster(vocab, store, ClusterConfig(strategy="znrp", levels=10))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 10
+        assert max(peaks) == peaks[-1]
+        assert "".join("r" if dense else "e" for _, dense in built) == sources
+        assert any(dense and not dense_rows(store, C) for C, dense in built)
+
+
+@pytest.mark.parametrize("strategy", ["m", "znr", "znrp"])
+def test_both_sources_give_identical_runs(strategy, monkeypatch):
+    # forced rows, forced edges and the default rule, which puts this run's
+    # L1-L9 on rows and L10 on edges: same tags and stats, wall time aside
+    vocab, store = corpus_of(150)
+    built = banks_built(monkeypatch)
+    config = ClusterConfig(strategy=strategy, levels=10, seed=3)
+    runs = {}
+    for source in ("rows", "edges", "default"):
+        forced = contextlib.nullcontext() if source == "default" else context_source(source)
+        with forced:
+            tags, stats = cluster(vocab, store, config)
+        runs[source] = (
+            tags.rows,
+            [{**vars(s), "wall_time": None} for s in stats],
+            "".join("r" if dense else "e" for _, dense in built),
+        )
+        built.clear()
+    assert runs["rows"][2] == "r" * 10
+    assert runs["edges"][2] == "e" * 10
+    assert runs["default"][2] == "r" * 9 + "e"
+    for source in ("edges", "default"):
+        assert runs[source][:2] == runs["rows"][:2]
 
 
 def reference_deltas(state):

@@ -4,6 +4,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from tagsplit import ConfigError
 from tagsplit.synth import _cdf, markov_text, zipf_weights
 
 # SHA-256 of the text that writes each sentence on its own line, recorded
@@ -35,3 +36,20 @@ def test_bisecting_the_cdf_draws_as_choice_does(n):
     for _ in range(2000):
         assert int(by_choice.choice(n, p=p)) == bisect_right(cdf, by_bisect.random())
     assert by_choice.random() == by_bisect.random()
+
+
+@pytest.mark.parametrize("n_states", [2, 3])
+def test_fewer_than_four_states_rejected(n_states):
+    # each state draws 3 to 8 successors out of fewer than n_states
+    with pytest.raises(ConfigError, match="n_states >= 4"):
+        markov_text(300, n_types=30, n_states=n_states, seed=1)
+    sents = markov_text(300, n_types=30, n_states=4, seed=1)
+    assert sum(map(len, sents)) >= 300
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_a_state_with_no_words_is_a_config_error(seed):
+    # 24 types over 24 states leave some states empty, and these seeds
+    # reach one in the first sentence
+    with pytest.raises(ConfigError, match="has no words"):
+        markov_text(1, n_types=24, n_states=24, seed=seed)
