@@ -10,9 +10,9 @@ bit-identical to a from-scratch rebuild.  ContextBank owns a level's
 class ids and is the one place that knows where a word's class-context
 counts come from: dense V x C rows per side at the levels where those
 take at most BANK_BYTES_PER_PAIR bytes per bigram pair or fit under the
-run's last class matrix, else the bigram edges and the class ids, so the
-last level and any level whose rows would be too large hold no V x C
-state.
+1024-class matrix (keeps_rows), else the bigram edges and the class ids,
+so level 10 and any level whose rows would be too large hold no V x C
+state.  The choice depends on the level's class count alone.
 
 Every count has the store's one count dtype, int32 below 2**31 bigrams
 and int64 above (see BigramStore): the store, the class matrix and its
@@ -106,8 +106,11 @@ def _edges(bounds: np.ndarray, targets: np.ndarray, counts: np.ndarray, words: n
 def count_bigrams(stream: TokenStream, V: int | None = None) -> BigramStore:
     """Count adjacent in-segment pairs once each; breaks sever pairs."""
     ids = np.asarray(stream.ids)
+    lo, hi = (int(ids.min()), int(ids.max())) if len(ids) else (0, -1)
     if V is None:
-        V = int(ids.max()) + 1 if len(ids) else 0
+        V = hi + 1
+    if lo < 0 or hi >= V:
+        raise ValueError(f"stream contains a word id outside 0..{V - 1}")
     if len(ids) < 2:
         empty = np.zeros(0, dtype=np.int64)
         return BigramStore(V, empty, empty, empty)
@@ -167,27 +170,35 @@ def class_matrix(store: BigramStore, assignment: np.ndarray, C: int) -> ClassMat
 # them, while the rows, 2 * V * C cells of the count dtype, take at most
 # BANK_BYTES_PER_PAIR bytes per bigram pair (C * V up to 8 times the pair
 # count for an int32 store, 4 times for an int64 one), or at most a
-# quarter of the bytes by which the run's last class matrix outgrows this
-# level's.  Otherwise the counts come from the bigram edges and the class
-# ids.  Timed per level L6-L10 on the final class ids of the novel
-# benchmark runs (batch_deltas over every eligible word, int32 counts,
-# 2-vCPU x86 host, numpy 2.4.6, median of 9 alternating rounds), edge time
-# over row time is, by C * V / pairs:
+# quarter of the bytes by which the 1024-class matrix outgrows this
+# level's (keeps_rows).  Otherwise the counts come from the bigram edges
+# and the class ids.  Timed per level L6-L10 on the final class ids of
+# the novel benchmark runs (batch_deltas over every eligible word, int32
+# counts, 2-vCPU x86 host, numpy 2.4.6, median of 9 alternating rounds),
+# edge time over row time is, by C * V / pairs:
 #   znrp, V=503:  2.53 -> 2.53,  5.06 -> 1.80,  10.1 -> 1.47,  20.2 -> 1.21,  40.4 -> 0.88
 #   znr,  V=253:  2.26 -> 2.57,  4.52 -> 2.19,  9.05 -> 1.57,  18.1 -> 1.37,  36.2 -> 1.20
 # so the rows, whose cells a bool-mask scan lists, stay faster up to about
 # 25-40 times the pair count.  The pair bound puts L7 of both runs on
 # rows; a larger one would keep banks of 1-4 MB more on these runs and
-# raise their peak RSS.  The headroom raises no peak: a run's memory
-# peaks at its last level, whose class matrix (4 MiB of int32 at C = 1024)
-# covers a bank, its build's float64 tally of one side and the scorer's
-# gathered copy of it, each as large as the rows.  A quarter, not a half:
-# at half, L8 of novel-znrp (V=503, a 1.03 MB bank) went on rows and its
-# benchmark peak RSS rose 0.26 MB in 20 of 20 pairs of runs.  The
-# headroom puts L8 of novel-znr (V=253) on rows, which cut its search CPU
-# (state build included, median of alternating rounds) from about 35 to
-# 23 ms.
+# raise their peak RSS.  The headroom raises no peak of a 10-level run,
+# whose last class matrix (4 MiB of int32 at C = 1024) covers a bank, its
+# build's float64 tally of one side and the scorer's gathered copy of it,
+# each as large as the rows.  A shorter run may peak up to about 1 MiB of
+# int32 rows (2 MiB of int64) above its last level, which the pair bound
+# alone never ruled out either.  A quarter, not a half: at half, L8 of
+# novel-znrp (V=503, a 1.03 MB bank) went on rows and its benchmark peak
+# RSS rose 0.26 MB in 20 of 20 pairs of runs.  The headroom puts L8 of
+# novel-znr (V=253) on rows, which cut its search CPU (state build
+# included, median of alternating rounds) from about 35 to 23 ms.
 BANK_BYTES_PER_PAIR = 64
+
+
+def keeps_rows(store: BigramStore, C: int) -> bool:
+    """Whether a ContextBank of C classes over store keeps dense rows."""
+    itemsize = store.counts.itemsize
+    headroom = (MAX_CLASSES**2 - C**2) * itemsize // 4
+    return 2 * C * store.V * itemsize <= max(BANK_BYTES_PER_PAIR * len(store.counts), headroom)
 
 
 class ContextBank:
@@ -196,20 +207,15 @@ class ContextBank:
     A word w's context is L[c], the count of bigrams (w, v), and R[c], that
     of bigrams (v, w), with v in class c; f(w, w) = store.self_count[w] is
     in both at w's class.  `assignment` is the caller's class id array,
-    which only move writes.  last_C, if given, is the class count of the
-    run's last level.  While the rows take at most BANK_BYTES_PER_PAIR
-    bytes per bigram pair, or at most a quarter of the bytes by which a
-    class matrix of last_C classes outgrows one of C, left and right hold
-    every word's L and R as dense V x C rows of the store's count dtype,
-    and a move repairs only its word's neighbours' rows; otherwise they
-    have no rows, and the counts come from the bigram edges and the class
-    ids, which give the same counts, in that dtype, and cells in the same
-    order.
+    which only move writes.  Where keeps_rows(store, C) holds, left and
+    right hold every word's L and R as dense V x C rows of the store's
+    count dtype, and a move repairs only its word's neighbours' rows;
+    otherwise they have no rows, and the counts come from the bigram edges
+    and the class ids, which give the same counts, in that dtype, and
+    cells in the same order.
     """
 
-    def __init__(
-        self, store: BigramStore, assignment: np.ndarray, C: int, last_C: int | None = None
-    ):
+    def __init__(self, store: BigramStore, assignment: np.ndarray, C: int):
         if C < 1 or C & (C - 1):
             # cells and batch_deltas address a class by its bits
             raise ValueError(f"class count must be a power of two, got {C}")
@@ -218,12 +224,7 @@ class ContextBank:
         self.C = C
         V = store.V
         dtype = store.counts.dtype
-        # rows may also take a quarter of what the run's last class matrix,
-        # last_C**2 cells, will hold above this level's; the rest is for
-        # the build's tally and the scorer's gathered copy of them
-        headroom = (last_C**2 - C**2) * dtype.itemsize // 4 if last_C else 0
-        budget = max(BANK_BYTES_PER_PAIR * len(store.counts), headroom)
-        self.dense = 2 * C * V * dtype.itemsize <= budget
+        self.dense = keeps_rows(store, C)
         if not self.dense:
             self.left = self.right = np.zeros((0, C), dtype=dtype)
             return

@@ -35,13 +35,13 @@ Retractions are moves, so they disturb pairs by the same rule.  acmi()
 runs only once at the start and once at the end of each level, the
 second time as the drift guard.
 
-Each level's ContextBank holds its int32 class ids and decides once, when
-the ClusterState is built, where the words' context counts come from:
-dense V x C rows while they fit in a bound per bigram pair or under the
-memory the run's last class matrix will take, the bigram edges otherwise,
-as at the last level (see bigram.ContextBank).  A move reads the word's
-mass per class from the bank, and the classes where that mass is nonzero
-are the ones it disturbs.  cluster() drops each level's state before it
+Each level's ContextBank holds its int32 class ids and decides once, from
+the store and the level alone, where the words' context counts come
+from: dense V x C rows while they fit in a bound per bigram pair or under
+the memory the 1024-class matrix of level 10 takes, the bigram edges
+otherwise, as at level 10 (see bigram.keeps_rows).  A move reads the
+word's mass per class from the bank, and the classes where that mass is
+nonzero are the ones it disturbs.  cluster() drops each level's state before it
 builds the next.
 
 A word alone in its class rides down with bit 0 and stays alone: moves
@@ -190,9 +190,7 @@ class ClusterState:
     delta[w] is w's move delta as last scored, current unless dirty flags
     a class of w's sibling pair (see the module docstring).  words_scored
     and words_eligible count the words rescored and chosen from over the
-    level's steps.  last_C, the class count of the run's last level, goes
-    to the bank, which may keep rows in the memory that level's class
-    matrix will take (see bigram.ContextBank).
+    level's steps.  run_level stops after max_iterations steps, 4 * V.
     """
 
     def __init__(
@@ -202,19 +200,17 @@ class ClusterState:
         level: int,
         pinned_mask: np.ndarray | None = None,
         epsilon: float = EPSILON,
-        max_iterations: int | None = None,
-        last_C: int | None = None,
     ):
         self.level = level
         self.C = 1 << level
         self.assignment = np.array(assignment, dtype=np.int32)
         self.matrix = class_matrix(store, self.assignment, self.C)
-        self.bank = ContextBank(store, self.assignment, self.C, last_C)
+        self.bank = ContextBank(store, self.assignment, self.C)
         self.pinned_mask = (
             np.zeros(store.V, dtype=bool) if pinned_mask is None else pinned_mask
         )
         self.epsilon = epsilon
-        self.max_iterations = 4 * store.V if max_iterations is None else max_iterations
+        self.max_iterations = 4 * store.V
         self.acmi = acmi(self.matrix)
         self.moved: list[int] = []
         self.delta = np.zeros(store.V)
@@ -383,12 +379,7 @@ def cluster(
             class_of, level - 1, config.strategy, config.seed, pinned_bits
         )
         state = ClusterState(
-            store,
-            class_of,
-            level,
-            pinned_mask=pinned_mask,
-            epsilon=config.epsilon,
-            last_C=1 << config.levels,
+            store, class_of, level, pinned_mask=pinned_mask, epsilon=config.epsilon
         )
         stats.append(run_level(state, config.strategy))
         class_of = state.assignment

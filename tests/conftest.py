@@ -33,13 +33,6 @@ from tagsplit import bigram, objective
 from tagsplit.bigram import ContextBank
 from tagsplit.corpus import _PSEUDO_LABEL_RE, LEXICAL, PSEUDO, VocabEntry
 
-# BANK_BYTES_PER_PAIR values under which every ContextBank built without
-# last_C keeps dense rows, or reads the bigram edges: 2 * C * V * itemsize
-# <= bytes * pairs holds at 2**40 for every store a test builds with at
-# least one pair, and at 0 for none
-SOURCE_BYTES = {"rows": 2**40, "edges": 0}
-
-
 def make_stream(ids, breaks=()) -> TokenStream:
     return TokenStream(
         ids=np.asarray(ids, dtype=np.int32),
@@ -109,15 +102,9 @@ def cells_oracle(store, assignment, words, a, C) -> list[tuple]:
 @contextlib.contextmanager
 def context_source(source: str):
     """Every ContextBank built inside reads its counts from `source`,
-    "rows" or "edges", whatever class count its run ends at."""
-    init = ContextBank.__init__
-
-    def without_headroom(bank, store, assignment, C, last_C=None):
-        init(bank, store, assignment, C)
-
+    "rows" or "edges", at every class count."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bigram, "BANK_BYTES_PER_PAIR", SOURCE_BYTES[source])
-        mp.setattr(ContextBank, "__init__", without_headroom)
+        mp.setattr(bigram, "keeps_rows", lambda store, C: source == "rows")
         yield
 
 

@@ -84,6 +84,14 @@ class TestCountBigrams:
         store = assert_matches_pair_oracle(ids, breaks, V)
         assert store.V == V
 
+    @pytest.mark.parametrize(
+        "ids, V", [([0, 5, 1], 3), ([0, -1, 1], 3), ([0, -1, 1], None), ([3], 3)]
+    )
+    def test_word_id_outside_the_vocabulary_rejected(self, ids, V):
+        # 5 at V=3 once made a bogus pair (1, 2), and -1 a word -1
+        with pytest.raises(ValueError, match="outside"):
+            count_bigrams(make_stream(ids), V)
+
     def test_counting_holds_one_corpus_long_integer_array(self):
         # 1M int32 ids at V=75, 50,000 breaks: the traced peak was 10.9 MB
         # while a masked copy and np.unique's sorted copy of the key stood
@@ -494,52 +502,61 @@ class TestCountDtype:
 
     @pytest.mark.parametrize("T, factor", [(2**31 - 1, 8), (2**31, 4)])
     def test_rows_kept_to_64_bytes_per_pair(self, T, factor):
-        # C * V up to 8 times the pair count for int32 rows, 4 for int64
-        store = store_with_total(T, V=8)
-        pairs = len(store.counts)
+        # C * V up to 8 times the pair count for int32 rows, 4 for int64.
+        # Rows of 2**16 words take more than the headroom at every level,
+        # so the pair bound alone decides
+        V, pairs = 2**16, 2**17
+        key = np.arange(pairs)
+        counts = np.full(pairs, T // pairs)
+        counts[0] += T - counts.sum()
+        store = BigramStore(V, key // V, key % V, counts)
+        assert store.T == T
         choices = []
         for C in (2 << i for i in range(10)):
-            bank = ContextBank(store, np.zeros(store.V, dtype=np.int32), C)
-            assert bank.dense == (C * store.V <= factor * pairs)
+            bank = ContextBank(store, np.zeros(V, dtype=np.int32), C)
+            assert bank.dense == (C * V <= factor * pairs)
             assert bank.left.nbytes + bank.right.nbytes <= 64 * pairs
             choices.append(bank.dense)
         assert True in choices and False in choices
 
     @pytest.mark.parametrize(
-        "V, pairs, levels, wide, with_last, without_last",
+        "V, pairs, levels, wide, sources, pair_bound",
         [
             # the pair bound keeps L1-L7 on rows, the headroom L8-L9
             (153, 2917, 10, False, "rrrrrrrrre", "rrrrrrreee"),
             (153, 2917, 10, True, "rrrrrrrrre", "rrrrrreeee"),
             # at V=703 the headroom takes L7 only
             (703, 8121, 10, False, "rrrrrrreee", "rrrrrreeee"),
-            (50, 500, 8, True, "rrrrrree", "rrrrreee"),
+            (50, 500, 8, True, "rrrrrrrr", "rrrrreee"),
+            (50, 500, 8, False, "rrrrrrrr", "rrrrrree"),
             # the pair bound alone decides
-            (50, 500, 8, False, "rrrrrree", "rrrrrree"),
             (75, 2969, 4, False, "rrrr", "rrrr"),
             (300, 40000, 10, False, "rrrrrrrrrr", "rrrrrrrrrr"),
-            (1000, 100, 3, False, "eee", "eee"),
+            # the headroom alone decides, in int32 and int64 alike
+            (1000, 100, 3, False, "rrr", "eee"),
+            (1000, 1, 10, False, "rrrrrrreee", "eeeeeeeeee"),
+            (1000, 1, 10, True, "rrrrrrreee", "eeeeeeeeee"),
         ],
     )
     def test_rows_kept_within_the_larger_bound(
-        self, V, pairs, levels, wide, with_last, without_last
+        self, V, pairs, levels, wide, sources, pair_bound
     ):
-        # rows while 2 * C * V * itemsize fits in 64 bytes per pair, or in
-        # a quarter of what the last class matrix holds above this level's
+        # at levels 1..levels, rows while 2 * C * V * itemsize fits in 64
+        # bytes per pair (pair_bound), or in a quarter of what the
+        # 1024-class matrix holds above this level's
         key = np.arange(pairs)
         count = -(-(2**31) // pairs) if wide else 1
         store = BigramStore(V, key // V, key % V, np.full(pairs, count, dtype=np.int64))
         itemsize = 8 if wide else 4
         assert store.counts.itemsize == itemsize
-        last_C = 1 << levels
-        for last, want in ((last_C, with_last), (None, without_last)):
-            choices = ""
-            for C in (1 << level for level in range(1, levels + 1)):
-                bank = ContextBank(store, np.zeros(V, dtype=np.int32), C, last)
-                headroom = (last_C**2 - C**2) * itemsize // 4 if last else 0
-                assert bank.left.nbytes + bank.right.nbytes <= max(64 * pairs, headroom)
-                choices += "r" if bank.dense else "e"
-            assert choices == want
+        choices = by_pairs = ""
+        for C in (1 << level for level in range(1, levels + 1)):
+            bank = ContextBank(store, np.zeros(V, dtype=np.int32), C)
+            quarter = (1024**2 - C**2) * itemsize // 4
+            assert bank.left.nbytes + bank.right.nbytes <= max(64 * pairs, quarter)
+            choices += "r" if bank.dense else "e"
+            by_pairs += "r" if 2 * C * V * itemsize <= 64 * pairs else "e"
+        assert (choices, by_pairs) == (sources, pair_bound)
 
     @pytest.mark.parametrize("source", ["rows", "edges"])
     def test_int32_at_its_widest_matches_int64(self, source):

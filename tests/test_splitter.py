@@ -1,5 +1,4 @@
 import contextlib
-import itertools
 import tracemalloc
 from collections import Counter
 
@@ -169,7 +168,8 @@ class TestRunLevel:
         ids = rng.integers(0, 20, 800)
         store = count_bigrams(make_stream(ids), 20)
         class_of = init_level(root(20), 0, "znr")
-        state = ClusterState(store, class_of, 1, max_iterations=1)
+        state = ClusterState(store, class_of, 1)
+        state.max_iterations = 1
         stats = run_level(state, "znr")
         assert stats.capped
         assert stats.iterations == 1
@@ -228,41 +228,48 @@ class TestCommitRetract:
             for old, new in zip(before, snapshot()):
                 assert np.array_equal(old, new)
 
-    @pytest.mark.parametrize("level", [1, 3, 5, 7, 8, 10])
+    @pytest.mark.parametrize("level", range(1, 11))
     def test_move_sequences_match_rebuild(self, level):
-        # V=60 and about 1,200 pairs of int32 counts put the crossover
-        # between levels 7 and 8 (2 * C * V * 4 bytes against
-        # BANK_BYTES_PER_PAIR * pairs), so both kinds of level are covered
+        # on both sources: V=60 and about 1,200 pairs of int32 counts keep
+        # rows at every level, so the default rule alone covers no edges
         C = 1 << level
         _, assignment, store = random_instance(40 + level, V=60, length=1500, C=C)
         assert store.counts.dtype == np.int32
-        state = ClusterState(store, assignment, level)
-        assert state.bank.dense == (level < 8)
-        rng = np.random.default_rng(level)
-        for step in range(300):
-            w = int(rng.integers(0, store.V))
-            frm = int(state.assignment[w])
-            if step % 3:
-                state.commit(w, frm ^ 1)
-            else:
-                state.retract(w, (frm + int(rng.integers(1, C))) % C if C > 2 else frm ^ 1)
-            rebuilt = class_matrix(store, state.assignment, C)
-            assert np.array_equal(state.matrix.counts, rebuilt.counts)
-            assert np.array_equal(state.matrix.row, rebuilt.row)
-            assert np.array_equal(state.matrix.col, rebuilt.col)
-        if state.bank.dense:
-            fresh = ContextBank(store, state.assignment, C)
-            assert np.array_equal(state.bank.left, fresh.left)
-            assert np.array_equal(state.bank.right, fresh.right)
+        for source in ("rows", "edges"):
+            with context_source(source):
+                state = ClusterState(store, assignment, level)
+            assert state.bank.dense == (source == "rows")
+            rng = np.random.default_rng(level)
+            for step in range(300):
+                w = int(rng.integers(0, store.V))
+                frm = int(state.assignment[w])
+                if step % 3:
+                    state.commit(w, frm ^ 1)
+                else:
+                    state.retract(w, (frm + int(rng.integers(1, C))) % C if C > 2 else frm ^ 1)
+                rebuilt = class_matrix(store, state.assignment, C)
+                assert np.array_equal(state.matrix.counts, rebuilt.counts)
+                assert np.array_equal(state.matrix.row, rebuilt.row)
+                assert np.array_equal(state.matrix.col, rebuilt.col)
+            for v in range(store.V):
+                fresh = context_vectors(store, state.assignment, v, C)
+                L, R = state.bank.context(v)
+                assert np.array_equal(L, fresh.left)
+                assert np.array_equal(R, fresh.right)
 
 
-def dense_rows(store, C, last_C=None):
-    """Whether a bank at C classes keeps rows: both sides' V x C cells take
-    at most BANK_BYTES_PER_PAIR bytes per bigram pair, or at most a
-    quarter of what a class matrix of last_C classes holds above one of C."""
-    rows = 2 * C * store.V * store.counts.itemsize
-    headroom = (last_C**2 - C**2) * store.counts.itemsize // 4 if last_C else 0
-    return rows <= max(BANK_BYTES_PER_PAIR * len(store.counts), headroom)
+def row_budget(store, C, headroom=True):
+    """The bytes a bank at C classes may give its rows: BANK_BYTES_PER_PAIR
+    per bigram pair or, with headroom, a quarter of what a 1024-class
+    matrix holds above one of C, whichever is more."""
+    quarter = (1024**2 - C**2) * store.counts.itemsize // 4 if headroom else 0
+    return max(BANK_BYTES_PER_PAIR * len(store.counts), quarter)
+
+
+def dense_rows(store, C, headroom=True):
+    """Whether a bank at C classes keeps rows: both sides' V x C cells fit
+    in row_budget."""
+    return 2 * C * store.V * store.counts.itemsize <= row_budget(store, C, headroom)
 
 
 def corpus_of(top_k):
@@ -273,13 +280,14 @@ def corpus_of(top_k):
 
 
 def banks_built(monkeypatch):
-    """The (C, dense) of every ContextBank built from now on, in order."""
+    """The (C, dense, bytes of rows) of every ContextBank built from now
+    on, in order."""
     built = []
     init = ContextBank.__init__
 
     def recorded(bank, *args, **kwargs):
         init(bank, *args, **kwargs)
-        built.append((bank.C, bank.dense))
+        built.append((bank.C, bank.dense, bank.left.nbytes + bank.right.nbytes))
 
     monkeypatch.setattr(ContextBank, "__init__", recorded)
     return built
@@ -289,16 +297,15 @@ class TestContextBankChoice:
     @pytest.mark.parametrize("seed", range(6))
     def test_bank_exactly_below_the_crossover(self, seed):
         _, assignment, store = random_instance(seed, C=2)
-        for last_C, level in itertools.product([None, 1024], range(1, 11)):
+        for level in range(1, 11):
             C = 1 << level
-            state = ClusterState(store, assignment, level, last_C=last_C)
-            dense = dense_rows(store, C, last_C)
+            state = ClusterState(store, assignment, level)
+            dense = dense_rows(store, C)
             assert state.bank.dense == dense
             rows = store.V if dense else 0
             assert state.bank.left.shape == state.bank.right.shape == (rows, C)
             bank_bytes = state.bank.left.nbytes + state.bank.right.nbytes
-            headroom = (last_C**2 - C**2) * store.counts.itemsize // 4 if last_C else 0
-            assert bank_bytes <= max(BANK_BYTES_PER_PAIR * len(store.counts), headroom)
+            assert bank_bytes <= row_budget(store, C)
 
     def test_no_bank_allocated_above_the_crossover(self, monkeypatch):
         # every ContextBank a run builds with dense rows, by class count
@@ -309,26 +316,25 @@ class TestContextBankChoice:
         built = []
         init = ContextBank.__init__
 
-        def counted(bank, store, assignment, C, last_C=None):
-            assert last_C == 1 << 10
-            init(bank, store, assignment, C, last_C)
+        def counted(bank, store, assignment, C):
+            init(bank, store, assignment, C)
             if bank.left.size:
                 built.append(C)
 
         monkeypatch.setattr(ContextBank, "__init__", counted)
         cluster(vocab, store, ClusterConfig(strategy="znrp", levels=10))
-        dense = [1 << level for level in range(1, 11) if dense_rows(store, 1 << level, 1 << 10)]
+        dense = [1 << level for level in range(1, 11) if dense_rows(store, 1 << level)]
         assert built == dense
         # the headroom puts a level on rows that the pair bound alone would not
-        assert 0 < len([C for C in dense if not dense_rows(store, C)]) < len(dense) < 10
+        pair_bound = [C for C in dense if dense_rows(store, C, headroom=False)]
+        assert 0 < len(pair_bound) < len(dense) < 10
 
     @pytest.mark.parametrize("top_k, sources", [(150, "rrrrrrrrre"), (600, "rrrrrrreee")])
     def test_no_level_peaks_above_the_last(self, top_k, sources, monkeypatch):
-        # rows the headroom admits, with their build's tally and the
-        # scorer's gathered copy of them, fit in memory the last level
-        # holds anyway.  At top_k=600 a bound
-        # of the whole headroom would put L9 on rows and raise its peak
-        # above L10's
+        # in a 10-level run, rows the headroom admits, with their build's
+        # tally and the scorer's gathered copy of them, fit in memory the
+        # last level holds anyway.  At top_k=600 a bound of the whole
+        # headroom would put L9 on rows and raise its peak above L10's
         vocab, store = corpus_of(top_k)
         built = banks_built(monkeypatch)
         peaks = []
@@ -352,8 +358,32 @@ class TestContextBankChoice:
             tracemalloc.stop()
         assert len(peaks) == 10
         assert max(peaks) == peaks[-1]
-        assert "".join("r" if dense else "e" for _, dense in built) == sources
-        assert any(dense and not dense_rows(store, C) for C, dense in built)
+        assert "".join("r" if dense else "e" for _, dense, _ in built) == sources
+        assert any(dense and not dense_rows(store, C, headroom=False) for C, dense, _ in built)
+
+    def test_a_level_chooses_as_a_bank_built_alone(self, monkeypatch):
+        # at every level of runs that end at levels 4, 7 and 10, the bank
+        # chooses as one built alone at that level's class count, and its
+        # rows keep within the larger of the two bounds
+        vocab, store = corpus_of(600)
+        built = banks_built(monkeypatch)
+        runs = {}
+        for levels in (4, 7, 10):
+            cluster(vocab, store, ClusterConfig(strategy="znrp", levels=levels))
+            runs[levels] = list(built)
+            built.clear()
+        monkeypatch.undo()
+        alone = {}
+        for C in (1 << level for level in range(1, 11)):
+            bank = ContextBank(store, np.zeros(store.V, dtype=np.int32), C)
+            alone[C] = bank.dense
+            assert bank.dense == dense_rows(store, C)
+        for levels, banks in runs.items():
+            assert [C for C, _, _ in banks] == [1 << level for level in range(1, levels + 1)]
+            for C, dense, nbytes in banks:
+                assert dense == alone[C]
+                assert nbytes <= row_budget(store, C)
+        assert "".join("r" if dense else "e" for _, dense, _ in runs[10]) == "rrrrrrreee"
 
 
 @pytest.mark.parametrize("strategy", ["m", "znr", "znrp"])
@@ -371,7 +401,7 @@ def test_both_sources_give_identical_runs(strategy, monkeypatch):
         runs[source] = (
             tags.rows,
             [{**vars(s), "wall_time": None} for s in stats],
-            "".join("r" if dense else "e" for _, dense in built),
+            "".join("r" if dense else "e" for _, dense, _ in built),
         )
         built.clear()
     assert runs["rows"][2] == "r" * 10
