@@ -140,15 +140,14 @@ def count_bigrams(stream: TokenStream, V: int | None = None) -> BigramStore:
 class ClassMatrix:
     """Dense C x C class-bigram counts with row/column marginals of their dtype."""
 
-    def __init__(self, C: int, counts: np.ndarray | None = None):
+    def __init__(self, C: int, counts: np.ndarray):
         if C < 1 or C > MAX_CLASSES:
             raise ValueError(f"class count must be in 1..{MAX_CLASSES}, got {C}")
         self.C = C
-        self.counts = np.zeros((C, C), dtype=np.int64) if counts is None else counts
-        dtype = self.counts.dtype
-        self.row = self.counts.sum(axis=1, dtype=dtype)
-        self.col = self.counts.sum(axis=0, dtype=dtype)
-        self.T = int(self.counts.sum(dtype=np.int64))
+        self.counts = counts
+        self.row = counts.sum(axis=1, dtype=counts.dtype)
+        self.col = counts.sum(axis=0, dtype=counts.dtype)
+        self.T = int(counts.sum(dtype=np.int64))
 
 
 def class_matrix(store: BigramStore, assignment: np.ndarray, C: int) -> ClassMatrix:
@@ -182,15 +181,15 @@ def class_matrix(store: BigramStore, assignment: np.ndarray, C: int) -> ClassMat
 # 25-40 times the pair count.  The pair bound puts L7 of both runs on
 # rows; a larger one would keep banks of 1-4 MB more on these runs and
 # raise their peak RSS.  The headroom raises no peak of a 10-level run,
-# whose last class matrix (4 MiB of int32 at C = 1024) covers a bank, its
-# build's float64 tally of one side and the scorer's gathered copy of it,
-# each as large as the rows.  A shorter run may peak up to about 1 MiB of
-# int32 rows (2 MiB of int64) above its last level, which the pair bound
-# alone never ruled out either.  A quarter, not a half: at half, L8 of
-# novel-znrp (V=503, a 1.03 MB bank) went on rows and its benchmark peak
-# RSS rose 0.26 MB in 20 of 20 pairs of runs.  The headroom puts L8 of
-# novel-znr (V=253) on rows, which cut its search CPU (state build
-# included, median of alternating rounds) from about 35 to 23 ms.
+# whose last class matrix (4 MiB of int32 at C = 1024) covers a bank and
+# the scorer's gathered copy of it, each as large as the rows.  A shorter
+# run may peak up to about 1 MiB of int32 rows (2 MiB of int64) above its
+# last level, which the pair bound alone never ruled out either.  A
+# quarter, not a half: at half, L8 of novel-znrp (V=503, a 1.03 MB bank)
+# went on rows and its benchmark peak RSS rose 0.26 MB in 20 of 20 pairs
+# of runs.  The headroom puts L8 of novel-znr (V=253) on rows, which cut
+# its search CPU (state build included, median of alternating rounds)
+# from about 35 to 23 ms.
 BANK_BYTES_PER_PAIR = 64
 
 
@@ -230,11 +229,11 @@ class ContextBank:
             return
 
         def tally(word: np.ndarray, neighbour: np.ndarray) -> np.ndarray:
-            # one bincount keyed word * C + class; its float64 sums are
-            # exact, as every count totals at most T < 2**53
-            key = word * C + self.assignment[neighbour]
-            cells = np.bincount(key, store.counts, minlength=V * C)
-            return cells.astype(dtype).reshape(V, C)
+            # one flat tally keyed word * C + class, straight into the
+            # count dtype, in which no cell, at most T, can wrap
+            cells = np.zeros(V * C, dtype=dtype)
+            np.add.at(cells, word * C + self.assignment[neighbour], store.counts)
+            return cells.reshape(V, C)
 
         self.left = tally(store.left, store.right)
         self.right = tally(store.right, store.left)

@@ -30,7 +30,6 @@ from .bigram import BigramStore, count_bigrams
 from .corpus import TokenizerOptions, TokenStream, Vocabulary, build_vocabulary, tokenize
 from .elman import ELMAN_GOLD, GoldReference, evaluate, sentences
 from .errors import ConfigError, ConsistencyError, IngestionError, TagsplitError
-from .objective import EPSILON
 from .splitter import (
     MAX_LEVELS,
     STRATEGIES,
@@ -316,7 +315,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         strategy=args.method,
         levels=args.levels,
         seed=args.seed,
-        epsilon=args.epsilon,
         pinned=read_pins_tsv(Path(args.pin)) if args.pin else None,
     )
     timings: dict[str, float] = {}
@@ -449,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--levels", type=int, default=MAX_LEVELS)
     c.add_argument("--method", choices=STRATEGIES, default="znrp")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--epsilon", type=float, default=EPSILON)
     c.add_argument("--pin", default=None, metavar="PATH")
     c.add_argument("--lowercase", action="store_true")
     c.add_argument("--boundary", choices=["none", "token"], default="none")

@@ -24,13 +24,14 @@ were, and changes an off-corner cell of such a word only where w has a
 neighbour in that word's pair.  A word's delta is summed over its own
 cells in a fixed order, so a kept delta is bit-identical to a rescored
 one and the picks are those of a full rescore.  The step then commits
-the best move of each group if it beats epsilon (ties go to the lowest
-word id).  A lone move's frozen delta is exact, so it is booked as is.  A
-batch of two or more is booked exactly from the h-terms of its touched
-sibling classes' rows and columns, summed before and after it commits
-(line_terms); if it lowered the objective, its moves are retracted one at
-a time, lowest-scoring first, each booked the same way over its one
-sibling pair, until the batch no longer sits below the step-start value.
+the best move of each group if it raises ACMI by more than EPSILON,
+1e-12 (ties go to the lowest word id).  A lone move's frozen delta is
+exact, so it is booked as is.  A batch of two or more is booked exactly
+from the h-terms of its touched sibling classes' rows and columns,
+summed before and after it commits (line_terms); if it lowered the
+objective, its moves are retracted one at a time, lowest-scoring first,
+each booked the same way over its one sibling pair, until the batch no
+longer sits below the step-start value.
 Retractions are moves, so they disturb pairs by the same rule.  acmi()
 runs only once at the start and once at the end of each level, the
 second time as the drift guard.
@@ -54,7 +55,6 @@ contribute fully to all counts, and are never moved.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -84,7 +84,6 @@ class ClusterConfig:
     strategy: str = STRATEGY_PARALLEL
     levels: int = MAX_LEVELS
     seed: int = 0
-    epsilon: float = EPSILON
     pinned: dict[str, str] | None = None  # surface -> bit path, cut to `levels`
 
     def __post_init__(self) -> None:
@@ -99,10 +98,6 @@ class ClusterConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise ConfigError(
-                f"epsilon must be finite and non-negative, got {self.epsilon}"
-            )
         if self.pinned:
             for surface, path in self.pinned.items():
                 if not path or set(path) - {"0", "1"}:
@@ -185,7 +180,8 @@ class ClusterState:
     """Mutable search state for one level: class ids, matrix, context bank.
 
     Single-writer: commits are serialized; scoring reads a consistent
-    snapshot between commits.  moved lists the committed words in order.
+    snapshot between commits.  moved lists the committed words in order,
+    one entry per commit (a retraction adds none).
     assignment is the class ids the bank holds and alone writes.
     delta[w] is w's move delta as last scored, current unless dirty flags
     a class of w's sibling pair (see the module docstring).  words_scored
@@ -199,7 +195,6 @@ class ClusterState:
         assignment: np.ndarray,
         level: int,
         pinned_mask: np.ndarray | None = None,
-        epsilon: float = EPSILON,
     ):
         self.level = level
         self.C = 1 << level
@@ -209,7 +204,6 @@ class ClusterState:
         self.pinned_mask = (
             np.zeros(store.V, dtype=bool) if pinned_mask is None else pinned_mask
         )
-        self.epsilon = epsilon
         self.max_iterations = 4 * store.V
         self.acmi = acmi(self.matrix)
         self.moved: list[int] = []
@@ -240,7 +234,7 @@ class ClusterState:
         self._shift(w, int(self.assignment[w]), back_to)
 
 
-def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int, int]:
+def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int]:
     """One search step: pick the best eligible move of each group, commit it.
 
     The group is the parent class (frm >> 1) when per_parent, else all words
@@ -248,7 +242,7 @@ def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int, int]:
     ids frozen at step start, so the selections are order-independent:
     the eligible words of dirty pairs are rescored, and the others keep
     their deltas, which no move since their scoring changed.
-    Returns (progressed, committed, retracted).
+    Returns (progressed, retracted).
     """
     words = state.eligible_words()
     frm = state.assignment[words]
@@ -269,15 +263,15 @@ def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int, int]:
     first = np.ones(len(g), dtype=bool)
     first[1:] = g[1:] != g[:-1]
     best = order[first]
-    best = best[d[best] > state.epsilon]
+    best = best[d[best] > EPSILON]
     if not len(best):
-        return False, 0, 0
+        return False, 0
     start = state.acmi
     if len(best) == 1:
         # a lone move's frozen delta is exact
         state.commit(int(words[best[0]]), int(frm[best[0]]) ^ 1)
         state.acmi = start + float(d[best[0]])
-        return True, 1, 0
+        return True, 0
     # one move per parent, so the touched sibling pairs are disjoint
     touched = np.concatenate((frm[best], frm[best] ^ 1))
     before = line_terms(state.matrix, touched)
@@ -295,28 +289,26 @@ def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int, int]:
         state.retract(int(words[i]), int(frm[i]))
         state.acmi += (line_terms(state.matrix, pair) - before) / state.matrix.T
         retracted += 1
-    progressed = retracted < len(best) and state.acmi - start > state.epsilon
-    return progressed, len(best), retracted
+    progressed = retracted < len(best) and state.acmi - start > EPSILON
+    return progressed, retracted
 
 
 def run_level(state: ClusterState, strategy: str) -> LevelStats:
     """Greedy ACMI ascent at one level until no move improves it."""
     t0 = time.perf_counter()
     acmi_before = state.acmi
-    iterations = committed = retracted = 0
+    retracted = 0
     capped = False
     trace: list[float] = []
     per_parent = strategy == STRATEGY_PARALLEL
     while True:
-        if iterations >= state.max_iterations:
+        if len(trace) >= state.max_iterations:
             capped = True
             break
-        progressed, n_c, n_r = _iteration(state, per_parent)
-        committed += n_c
+        progressed, n_r = _iteration(state, per_parent)
         retracted += n_r
         if not progressed:
             break
-        iterations += 1
         trace.append(state.acmi)
     exact = acmi(state.matrix)
     if abs(exact - state.acmi) > DRIFT_TOLERANCE:
@@ -326,8 +318,8 @@ def run_level(state: ClusterState, strategy: str) -> LevelStats:
     state.acmi = exact
     return LevelStats(
         level=state.level,
-        iterations=iterations,
-        committed_moves=committed,
+        iterations=len(trace),
+        committed_moves=len(state.moved),
         retracted_moves=retracted,
         acmi_before=acmi_before,
         acmi_after=exact,
@@ -360,6 +352,10 @@ def cluster(
     depends only on config.seed.
     """
     V = vocab.size
+    if store.V != V:
+        raise ConfigError(
+            f"bigram store covers {store.V} words but the vocabulary has {V}"
+        )
     if V < 2:
         raise IngestionError(f"need at least 2 vocabulary entries, got {V}")
     if store.T == 0:
@@ -378,9 +374,7 @@ def cluster(
         class_of = init_level(
             class_of, level - 1, config.strategy, config.seed, pinned_bits
         )
-        state = ClusterState(
-            store, class_of, level, pinned_mask=pinned_mask, epsilon=config.epsilon
-        )
+        state = ClusterState(store, class_of, level, pinned_mask=pinned_mask)
         stats.append(run_level(state, config.strategy))
         class_of = state.assignment
         # the next level's matrix and bank are built without this one alive

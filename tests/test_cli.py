@@ -131,7 +131,7 @@ class TestCluster:
         pin.write_text("surface\tbit_string\neat\t1\n")
         rc, tags, _ = run_cluster(
             elman_corpus, tmp_path, "--pin", str(pin), "--lowercase",
-            "--boundary", "token", "--epsilon", "1e-9", method="znr",
+            "--boundary", "token", method="znr",
         )
         assert rc == EXIT_OK
         config = json.loads((tmp_path / "tags.tsv.manifest.json").read_text())["config"]
@@ -141,7 +141,7 @@ class TestCluster:
         rerun.mkdir()
         config.update(tags=str(rerun / "tags.tsv"), stats=str(rerun / "stats.csv"))
         argv = ["cluster", *(f"--in={p}" for p in config["inputs"])]
-        for key in ("top_words", "levels", "method", "seed", "epsilon", "pin",
+        for key in ("top_words", "levels", "method", "seed", "pin",
                     "boundary", "tags", "stats"):
             argv.append(f"--{key.replace('_', '-')}={config[key]}")
         if config["lowercase"]:
@@ -262,14 +262,13 @@ class TestCluster:
         rc, *_ = run_cluster(tmp_path / "nope.txt", tmp_path)
         assert rc == EXIT_USAGE
 
-    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
-    def test_epsilon_not_finite_non_negative_exit_2(
-        self, elman_corpus, tmp_path, capsys, epsilon
-    ):
-        rc, tags, _ = run_cluster(elman_corpus, tmp_path, f"--epsilon={epsilon}")
-        assert rc == EXIT_USAGE
-        assert "epsilon must be finite and non-negative" in capsys.readouterr().err
-        assert not tags.exists()
+    def test_epsilon_is_not_an_option_exit_2(self, elman_corpus, tmp_path, capsys):
+        # the improvement threshold is the constant EPSILON, not a flag
+        with pytest.raises(SystemExit) as exc:
+            run_cluster(elman_corpus, tmp_path, "--epsilon", "1e-9")
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --epsilon" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_pin_file_exit_2(self, elman_corpus, tmp_path, capsys):
         pin = tmp_path / "pins.tsv"

@@ -524,7 +524,7 @@ class TestSearchSelection:
             state = ClusterState(store, np.zeros(13, dtype=np.int32), 1)
             run_level(state, strategy)
             n_moves = len(state.moved)
-            assert splitter._iteration(state, per_parent) == (False, 0, 0)
+            assert splitter._iteration(state, per_parent) == (False, 0)
             assert len(state.moved) == n_moves
 
     def test_lone_parallel_move_books_exact_acmi(self):
@@ -536,10 +536,10 @@ class TestSearchSelection:
                 continue
             while True:
                 n_moves = len(state.moved)
-                progressed, n_c, n_r = splitter._iteration(state, True)
+                progressed, n_r = splitter._iteration(state, True)
                 if not progressed:
                     break
-                assert (n_c, n_r) == (1, 0)
+                assert n_r == 0
                 assert len(state.moved) == n_moves + 1
                 assert abs(state.acmi - acmi(state.matrix)) <= 1e-9
                 steps += 1
@@ -576,8 +576,9 @@ class TestSearchSelection:
         step = splitter._iteration
 
         def checked_step(state, per_parent):
+            n_moves = len(state.moved)
             out = step(state, per_parent)
-            assert_booked(state, "batch" if out[1] >= 2 else "step")
+            assert_booked(state, "batch" if len(state.moved) - n_moves >= 2 else "step")
             return out
 
         monkeypatch.setattr(splitter, "acmi", counted_acmi)
@@ -759,6 +760,15 @@ class TestCluster:
         vocab, _, store = tiny_corpus(["a", "b"] * 30)
         with pytest.raises(ConfigError):
             cluster(vocab, store, ClusterConfig(pinned={"missing": "1"}))
+
+    def test_store_of_another_vocabulary_rejected(self):
+        # the store's word ids must be the vocabulary's, in both directions
+        tokens = [f"w{int(i)}" for i in np.random.default_rng(2).integers(0, 40, 2000)]
+        big, _, big_store = tiny_corpus(tokens, 30)
+        small, _, small_store = tiny_corpus(tokens, 12)
+        for vocab, store in ((big, small_store), (small, big_store)):
+            with pytest.raises(ConfigError, match=f"{store.V} words.* has {vocab.size}"):
+                cluster(vocab, store, ClusterConfig(levels=3))
 
 
 class TestPinning:
