@@ -15,9 +15,9 @@ the group each search step picks its best move from:
         commits the best move of every class being split.
 
 Every eligible word's move delta is kept across steps (ClusterState.delta),
-and a step rescores in one batch, against the state frozen at step start,
-only the eligible words of the sibling pairs (2p, 2p+1) that a move since
-their last scoring disturbed.  A move of w disturbs its own pair and every
+and above level 1 a step rescores in one batch, against the state frozen
+at step start, only the eligible words of the sibling pairs (2p, 2p+1)
+that a move since their last scoring disturbed.  A move of w disturbs its own pair and every
 pair holding a successor or predecessor of w; it leaves every other
 word's eligibility, corner cells, marginals and context rows as they
 were, and changes an off-corner cell of such a word only where w has a
@@ -35,6 +35,26 @@ longer sits below the step-start value.
 Retractions are moves, so they disturb pairs by the same rule.  acmi()
 runs only once at the start and once at the end of each level, the
 second time as the drift guard.
+
+Level 1 has one sibling pair, so every move disturbs it, and one group,
+so every step commits at most one move.  There a word's delta reads only
+the pair's 8 counts (4 cells, 4 marginals), each shifted by an x with
+|x| <= m(w), w's successor plus predecessor count.  Say a move changes
+those counts by Y in all, and t is the smallest changed count at its
+smaller value.  Then the delta of every word w with 2 m(w) <= t whose
+own x stayed put moves by at most 2 lg e m(w) Y / (t T): between a
+count's two values n >= t and n + x >= t / 2, so each term
+h(n + x) - h(n) has slope |lg((n + x) / n)| <= 2 lg e m(w) / t.  A
+word's x stays put unless it is the mover or one of the mover's
+successors or predecessors.  ClusterState.bound sums these drifts since
+each word's last scoring; it is infinite for a word never scored, for
+the mover and its neighbours, for a word with 2 m(w) > t, and for all
+words when t = 0 (as on the first znr/znrp step, while bit 1 is empty).
+With slack = bound + DRIFT_MARGIN and tau the largest kept delta minus
+slack, a step rescores the words whose kept delta plus slack reaches
+tau and picks among them.  The word attaining tau is rescored and its
+fresh delta is at least tau, while every skipped word's fresh delta lies
+below tau, so the pick is that of a full rescore.
 
 Each level's ContextBank holds its int32 class ids and decides once, from
 the store and the level alone, where the words' context counts come
@@ -55,6 +75,7 @@ contribute fully to all counts, and are never moved.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -70,6 +91,15 @@ from .objective import delta_acmi, pair_before_sum  # noqa: F401
 # largest allowed gap between the running ACMI and a full recompute at the
 # end of a level: the bound every delta is tested to
 DRIFT_TOLERANCE = 1e-9
+
+# what level 1's drift bound adds for float rounding.  A level-1 delta
+# from batch_deltas sums 16 h-terms n lg n, each n <= T < 2^53 (see
+# BigramStore), and divides by T, so it is off by a few times
+# 16 lg T 2^-52 < 2e-13, under 1e-12; a kept and a fresh delta differ by
+# at most twice that beyond their exact drift, and the bound's own float
+# sums lose far less
+DRIFT_MARGIN = 1e-10
+LOG2E = math.log2(math.e)
 
 STRATEGY_RANDOM = "m"
 STRATEGY_NONRANDOM = "znr"
@@ -183,10 +213,13 @@ class ClusterState:
     snapshot between commits.  moved lists the committed words in order,
     one entry per commit (a retraction adds none).
     assignment is the class ids the bank holds and alone writes.
-    delta[w] is w's move delta as last scored, current unless dirty flags
-    a class of w's sibling pair (see the module docstring).  words_scored
-    and words_eligible count the words rescored and chosen from over the
-    level's steps.  run_level stops after max_iterations steps, 4 * V.
+    delta[w] is w's move delta as last scored.  Above level 1 it is
+    current unless dirty flags a class of w's sibling pair; at level 1 it
+    is within bound[w] of current, and mass[w] is w's successor plus
+    predecessor count (see the module docstring); bound and mass are None
+    above level 1.  words_scored and words_eligible count the words
+    rescored and chosen from over the level's steps.  run_level stops
+    after max_iterations steps, 4 * V.
     """
 
     def __init__(
@@ -209,6 +242,10 @@ class ClusterState:
         self.moved: list[int] = []
         self.delta = np.zeros(store.V)
         self.dirty = np.ones(self.C, dtype=bool)
+        self.bound = self.mass = None
+        if self.C == 2:
+            self.bound = np.full(store.V, np.inf)
+            self.mass = (store.succ_total + store.pred_total).astype(np.float64)
         self.words_scored = self.words_eligible = 0
 
     def eligible_words(self) -> np.ndarray:
@@ -217,13 +254,40 @@ class ClusterState:
         movable = ~self.pinned_mask & (sizes[self.assignment] >= 2)
         return np.nonzero(movable)[0]
 
+    def _pair_counts(self) -> list[int]:
+        # the 8 counts every level-1 delta reads: cells, rows, columns
+        m = self.matrix
+        return [*m.counts.ravel().tolist(), *m.row.tolist(), *m.col.tolist()]
+
     def _shift(self, w: int, frm: int, to: int) -> None:
+        if self.bound is not None:
+            before = self._pair_counts()
         L, R = apply_move(self.matrix, self.bank, w, frm, to)
         # a word in another pair keeps its delta unless w neighbours it or
         # a member of its pair: only then do its cells or context change
         np.logical_or(self.dirty, L + R, out=self.dirty)
         self.dirty[frm] = True
         self.bank.move(w, frm, to)
+        if self.bound is not None:
+            self._widen(w, before)
+
+    def _widen(self, w: int, before: list[int]) -> None:
+        """Add the drift of w's move to every level-1 bound."""
+        # Y is the counts' total change, t the least changed count at its
+        # smaller value (inf if none changed)
+        t, Y = math.inf, 0
+        for b, a in zip(before, self._pair_counts()):
+            if a != b:
+                t, Y = min(t, a, b), Y + abs(a - b)
+        if t == 0:
+            self.bound[:] = np.inf
+        else:
+            self.bound += (2 * LOG2E * Y / (t * self.matrix.T)) * self.mass
+            np.putmask(self.bound, self.mass > t / 2, np.inf)
+        # the mover's and its neighbours' own x changed
+        self.bound[w] = np.inf
+        self.bound[self.bank.store.succ(w)[0]] = np.inf
+        self.bound[self.bank.store.pred(w)[0]] = np.inf
 
     def commit(self, w: int, to: int) -> None:
         frm = int(self.assignment[w])
@@ -241,20 +305,32 @@ def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int]:
     form one group.  Every move's delta holds against the matrix and class
     ids frozen at step start, so the selections are order-independent:
     the eligible words of dirty pairs are rescored, and the others keep
-    their deltas, which no move since their scoring changed.
+    their deltas, which no move since their scoring changed.  At level 1
+    the words whose kept delta can still reach tau are rescored, and the
+    pick is made among them.
     Returns (progressed, retracted).
     """
     words = state.eligible_words()
     frm = state.assignment[words]
-    parent = frm >> 1
-    dirty = state.dirty
-    stale = (dirty[0::2] | dirty[1::2])[parent]
+    state.words_eligible += len(words)
+    if state.bound is None:
+        dirty = state.dirty
+        stale = (dirty[0::2] | dirty[1::2])[frm >> 1]
+        dirty[:] = False
+    else:
+        # level 1: the words whose kept delta can still reach tau
+        kept = state.delta[words]
+        slack = state.bound[words] + DRIFT_MARGIN
+        stale = kept + slack >= (kept - slack).max(initial=-np.inf)
     todo = words[stale]
     state.delta[todo] = batch_deltas(state.matrix, state.bank, todo, frm[stale])
-    dirty[:] = False
-    d = state.delta[words]
     state.words_scored += len(todo)
-    state.words_eligible += len(words)
+    if state.bound is not None:
+        state.bound[todo] = 0.0
+        # a skipped word's fresh delta lies below tau: it cannot win
+        words, frm = todo, frm[stale]
+    d = state.delta[words]
+    parent = frm >> 1
     group = parent if per_parent else np.zeros_like(frm)
     # by group, then best delta, then lowest word id: the first row of
     # each group's run is its best candidate
@@ -281,14 +357,15 @@ def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int]:
     retracted = 0
     # a batch that lowered the objective gives back its lowest-scoring
     # moves first until it no longer sits below the step-start value
-    for i in sorted(best, key=lambda i: (float(d[i]), int(words[i]))):
-        if state.acmi >= start:
-            break
-        pair = np.array([frm[i], frm[i] ^ 1])
-        before = line_terms(state.matrix, pair)
-        state.retract(int(words[i]), int(frm[i]))
-        state.acmi += (line_terms(state.matrix, pair) - before) / state.matrix.T
-        retracted += 1
+    if state.acmi < start:
+        for i in sorted(best, key=lambda i: (float(d[i]), int(words[i]))):
+            pair = np.array([frm[i], frm[i] ^ 1])
+            before = line_terms(state.matrix, pair)
+            state.retract(int(words[i]), int(frm[i]))
+            state.acmi += (line_terms(state.matrix, pair) - before) / state.matrix.T
+            retracted += 1
+            if state.acmi >= start:
+                break
     progressed = retracted < len(best) and state.acmi - start > EPSILON
     return progressed, retracted
 

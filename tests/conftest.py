@@ -8,8 +8,9 @@ rare-word classifier and pseudo-label pattern.  pair_count and
 context_vectors are the scalar lookups over a BigramStore that only tests
 need, and cells_oracle lists a ContextBank's cells from them word by
 word.  context_source and bank_from pick where a ContextBank reads its
-counts, so a test can run one state on both sources.  plogp_cells counts
-the scalar oracle's logs.
+counts, so a test can run one state on both sources.  full_rescore makes
+level 1 rescore every eligible word, as a search without its drift bound
+would.  plogp_cells counts the scalar oracle's logs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from tagsplit import (
     classify_rare,
     count_bigrams,
 )
-from tagsplit import bigram, objective
+from tagsplit import bigram, objective, splitter
 from tagsplit.bigram import ContextBank
 from tagsplit.corpus import _PSEUDO_LABEL_RE, LEXICAL, PSEUDO, VocabEntry
 
@@ -105,6 +106,15 @@ def context_source(source: str):
     "rows" or "edges", at every class count."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bigram, "keeps_rows", lambda store, C: source == "rows")
+        yield
+
+
+@contextlib.contextmanager
+def full_rescore():
+    """Every level-1 step inside rescores every eligible word: an infinite
+    margin makes every kept delta's slack infinite."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitter, "DRIFT_MARGIN", np.inf)
         yield
 
 

@@ -27,6 +27,7 @@ from conftest import (
     bank_from,
     cells_oracle,
     context_source,
+    full_rescore,
     make_stream,
     random_instance,
 )
@@ -473,10 +474,17 @@ class TestContextCellBranches:
 # (C=2-512) read dense bank rows of int32 counts and level 10 (C=1024)
 # bigram edges; forced onto the edges at every level, the run gives the
 # same digests.  They are those recorded when levels 1-6 read int64 rows
-# and levels 8-9 read edges.
+# and levels 8-9 read edges, and when level 1 rescored every eligible
+# word at every step, as it still does under conftest.full_rescore.
 GOLDEN_KERNEL_SHA256 = {
     "znr": "919821aeae3dc05d578ee25b7abcd9e38df8192f07c9b549067c92fe5859fb5e",
     "znrp": "19f8f8501fcb1b00f55732a080bfca0aa9e74c7ee7eb4bdcf4c0baa832e58bae",
+}
+# the same run with level 1 rescoring only the words its drift bound
+# cannot rule out, as by default
+GOLDEN_KERNEL_SHA256_BOUNDED = {
+    "znr": "da7d7e71dbe1786729c7947f9078fb204fe1074276b0fd04e53bc53e00a8c46b",
+    "znrp": "e9502995e588f0c5e41411622649f0b00ed747ddc27e8898689f9105d5359e2d",
 }
 
 
@@ -504,7 +512,8 @@ def kernel_run(strategy, monkeypatch):
 
 @pytest.mark.parametrize("strategy", sorted(GOLDEN_KERNEL_SHA256))
 def test_kernel_bits_match_recorded_sha256(strategy, monkeypatch):
-    sources, digest = kernel_run(strategy, monkeypatch)
+    with full_rescore():
+        sources, digest = kernel_run(strategy, monkeypatch)
     assert sources == {(1 << level, level <= 9) for level in range(1, 11)}
     assert digest == GOLDEN_KERNEL_SHA256[strategy]
 
@@ -513,7 +522,14 @@ def test_kernel_bits_match_recorded_sha256(strategy, monkeypatch):
 def test_kernel_bits_on_forced_edges_match_recorded_sha256(strategy, monkeypatch):
     # keeps the edge source pinned to the bit at the levels the default
     # rule now puts on rows
-    with context_source("edges"):
+    with context_source("edges"), full_rescore():
         sources, digest = kernel_run(strategy, monkeypatch)
     assert sources == {(1 << level, False) for level in range(1, 11)}
     assert digest == GOLDEN_KERNEL_SHA256[strategy]
+
+
+@pytest.mark.parametrize("strategy", sorted(GOLDEN_KERNEL_SHA256_BOUNDED))
+def test_kernel_bits_with_level_one_bound_match_recorded_sha256(strategy, monkeypatch):
+    sources, digest = kernel_run(strategy, monkeypatch)
+    assert sources == {(1 << level, level <= 9) for level in range(1, 11)}
+    assert digest == GOLDEN_KERNEL_SHA256_BOUNDED[strategy]

@@ -1,6 +1,9 @@
 import contextlib
+import decimal
 import tracemalloc
+import warnings
 from collections import Counter
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -21,8 +24,8 @@ from tagsplit import (
     count_bigrams,
     oracle_min_moves,
 )
-from tagsplit import splitter
-from tagsplit.bigram import BANK_BYTES_PER_PAIR, ContextBank
+from tagsplit import elman, splitter
+from tagsplit.bigram import BANK_BYTES_PER_PAIR, BigramStore, ContextBank
 from tagsplit.objective import delta_acmi
 from tagsplit.splitter import ClusterState, init_level, run_level
 from tagsplit.synth import markov_text
@@ -31,6 +34,7 @@ from conftest import (
     class_matrix_oracle,
     context_source,
     context_vectors,
+    full_rescore,
     make_stream,
     random_instance,
 )
@@ -497,6 +501,8 @@ class TestSearchSelection:
             return d
 
         monkeypatch.setattr(splitter, "batch_deltas", tied)
+        # planted deltas obey no drift bound, so level 1 rescores all words
+        monkeypatch.setattr(splitter, "DRIFT_MARGIN", np.inf)
         checked = kept = 0
         for state in search_states():
             per_parent = state.level == 1 and seed % 2 == 1
@@ -591,10 +597,13 @@ class TestSearchSelection:
 
     @pytest.mark.parametrize("strategy", ["m", "znr", "znrp"])
     def test_kept_deltas_equal_a_full_rescore(self, strategy, monkeypatch):
-        # at every step of a 10-level run, the deltas the step picks from
-        # (rescored for dirty pairs, kept for the rest) are bit-identical
-        # to scoring every eligible word afresh.  znrp retracts on this
-        # corpus at levels 5 and 7, and two words are pinned
+        # at every step of a 10-level run above level 1, the deltas the
+        # step picks from (rescored for dirty pairs, kept for the rest) are
+        # bit-identical to scoring every eligible word afresh.  At level 1
+        # the rescored words' deltas are, every skipped word's fresh delta
+        # lies within its kept delta +- slack and below tau, and the pick
+        # and the booked ACMI are those of a full rescore.  znrp retracts
+        # on this corpus at levels 5 and 7, and two words are pinned
         vocab, stream = build_vocabulary(
             markov_text(20_000, n_types=10_000, n_states=24, seed=7), 200
         )
@@ -603,17 +612,40 @@ class TestSearchSelection:
         kernel = splitter.batch_deltas
         step = splitter._iteration
         steps = []
+        rescored = []
+
+        def spy(matrix, bank, words, frm):
+            rescored.append(words)
+            return kernel(matrix, bank, words, frm)
 
         def checked_step(state, per_parent):
             words = state.eligible_words()
             frm = state.assignment[words]
             full = kernel(state.matrix, state.bank, words, frm)
-            scored = state.words_scored
+            scored, start, n_moves = state.words_scored, state.acmi, len(state.moved)
+            if state.level == 1:
+                kept = state.delta[words]
+                slack = state.bound[words] + splitter.DRIFT_MARGIN
+                tau = (kept - slack).max()
             out = step(state, per_parent)
-            assert np.array_equal(state.delta[words], full)
             steps.append((state.level, state.words_scored - scored, len(words)))
+            if state.level > 1:
+                assert np.array_equal(state.delta[words], full)
+                return out
+            redo = np.isin(words, rescored[-1])
+            assert np.array_equal(state.delta[words[redo]], full[redo])
+            assert (np.abs(full[~redo] - kept[~redo]) <= slack[~redo]).all()
+            assert (full[~redo] < tau).all()
+            best = np.lexsort((words, -full))[0]
+            if full[best] > EPSILON:
+                assert out == (True, 0)
+                assert state.moved[n_moves:] == [int(words[best])]
+                assert state.acmi == start + full[best]
+            else:
+                assert out == (False, 0)
             return out
 
+        monkeypatch.setattr(splitter, "batch_deltas", spy)
         monkeypatch.setattr(splitter, "_iteration", checked_step)
         config = ClusterConfig(strategy=strategy, levels=10, seed=3, pinned=pinned)
         _, stats = cluster(vocab, store, config)
@@ -622,8 +654,9 @@ class TestSearchSelection:
             mine = [(n, e) for level, n, e in steps if level == s.level]
             assert s.words_scored == sum(n for n, _ in mine)
             assert s.words_eligible == sum(e for _, e in mine)
-        # the rule keeps some deltas: fewer words rescored than chosen from
-        assert sum(s.words_scored for s in stats) < sum(s.words_eligible for s in stats)
+        # both rules keep some deltas: fewer words rescored than chosen from
+        assert stats[0].words_scored < stats[0].words_eligible / 2
+        assert sum(s.words_scored for s in stats[1:]) < sum(s.words_eligible for s in stats[1:])
         if strategy == "znrp":
             assert sum(s.retracted_moves for s in stats) > 0
 
@@ -650,6 +683,150 @@ class TestSearchSelection:
             run_level(state, strategy)
             assert 11 not in calls[0]
             calls.clear()
+
+
+def level_one_corpus(kind):
+    """A seeded store whose last word never occurs, and two pinned bits."""
+    if kind == "markov":
+        text = markov_text(20_000, n_types=2000, n_states=16, seed=5)
+        vocab, stream = build_vocabulary(text, 150)
+    else:
+        vocab, stream = build_vocabulary(elman.sentences(2000, seed=4), 29)
+    store = count_bigrams(stream, vocab.size + 1)
+    assert store.succ_total[-1] == store.pred_total[-1] == 0
+    return store, {3: 1, 7: 0}
+
+
+def exact_level_one_deltas(store, assignment):
+    """Every word's level-1 move delta, summed in 50-digit decimals."""
+    matrix = class_matrix(store, assignment, 2)
+    N, row, col = matrix.counts.tolist(), matrix.row.tolist(), matrix.col.tolist()
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        ln2 = Decimal(2).ln()
+
+        def dh(n, x):
+            # h(n + x) - h(n), h(n) = n lg n
+            h = [Decimal(v) * Decimal(v).ln() / ln2 if v else Decimal(0) for v in (n + x, n)]
+            return h[0] - h[1]
+
+        out = []
+        for w in range(store.V):
+            a = int(assignment[w])
+            b = a ^ 1
+            L, R, f = context_vectors(store, assignment, w, 2)
+            La, Lb, Ra, Rb = int(L[a]), int(L[b]), int(R[a]), int(R[b])
+            sL, sR = La + Lb, Ra + Rb
+            d = (
+                dh(N[a][a], -La - Ra + f) + dh(N[a][b], -Lb + Ra - f)
+                + dh(N[b][a], La - Rb - f) + dh(N[b][b], Lb + Rb + f)
+                - dh(row[a], -sL) - dh(row[b], sL) - dh(col[a], -sR) - dh(col[b], sR)
+            )
+            out.append(float(d / matrix.T))
+    return np.array(out)
+
+
+class TestLevelOneBound:
+    @pytest.mark.parametrize("kind", ["markov", "elman"])
+    @pytest.mark.parametrize("strategy, seed", [("m", 1), ("m", 2), ("znr", 0), ("znrp", 0)])
+    def test_lockstep_with_a_full_rescore(self, kind, strategy, seed):
+        # level 1 under its drift bound and under a full rescore, a step at
+        # a time: the same moves, booked ACMI and class ids.  Every commit
+        # widens each bound it leaves finite by at least the drift of that
+        # word's fresh delta
+        store, pins = level_one_corpus(kind)
+        V = store.V
+        pinned = np.zeros(V, dtype=bool)
+        pinned[list(pins)] = True
+        start = init_level(np.zeros(V, dtype=np.int32), 0, strategy, seed, pins)
+        lazy, full = (ClusterState(store, start, 1, pinned_mask=pinned) for _ in range(2))
+        every = np.arange(V)
+        finite = []
+
+        def checked_commit(w, to):
+            fresh = splitter.batch_deltas(lazy.matrix, lazy.bank, every, lazy.assignment)
+            bound = lazy.bound.copy()
+            ClusterState.commit(lazy, w, to)
+            now = splitter.batch_deltas(lazy.matrix, lazy.bank, every, lazy.assignment)
+            kept = np.isfinite(lazy.bound)
+            grown = lazy.bound[kept] - bound[kept] + splitter.DRIFT_MARGIN
+            assert (np.abs(now - fresh)[kept] <= grown).all()
+            finite.append(kept.sum())
+
+        lazy.commit = checked_commit
+        per_parent = strategy == "znrp"
+        for _ in range(lazy.max_iterations):
+            out = splitter._iteration(lazy, per_parent)
+            with full_rescore():
+                assert splitter._iteration(full, per_parent) == out
+            assert lazy.moved == full.moved
+            assert lazy.acmi == full.acmi
+            if not out[0]:
+                break
+        assert not out[0]
+        assert np.array_equal(lazy.assignment, full.assignment)
+        assert V - 1 not in lazy.moved
+        assert sum(finite) > V
+        # at V = 30 nearly every Elman word neighbours each mover or holds
+        # over half of t, so only the Markov runs skip many words
+        assert lazy.words_scored <= full.words_scored
+        if kind == "markov":
+            assert lazy.words_scored < 0.95 * full.words_scored
+
+    def test_heavy_word_gets_an_infinite_bound(self):
+        # word 0 only precedes word 1, M times, and so holds all but one of
+        # cell (0, 0)'s bigrams; word 2 moving 0 -> 1 takes that one away,
+        # so t = M < 2 m(0) = 2M.  The slope bound needs 2m <= t: here word
+        # 0's delta moves by about (lg M + lg e) / T, more than the
+        # 2 lg e m Y / (t T) = 8 lg e / T it would give
+        M, K = 1 << 20, 1000
+        left, right = np.array([0, 1, 1, 3, 4]), np.array([1, 2, 3, 4, 3])
+        store = BigramStore(5, left, right, np.array([M, 1, M, K, K]))
+        assignment = np.array([0, 0, 0, 1, 1], dtype=np.int32)
+        state = ClusterState(store, assignment, 1)
+        state.bound[:] = 0.0  # as if every word had just been scored
+        every = np.arange(5)
+        before = splitter.batch_deltas(state.matrix, state.bank, every, state.assignment)
+        state.commit(2, 1)
+        after = splitter.batch_deltas(state.matrix, state.bank, every, state.assignment)
+        drift = np.abs(after - before)
+        assert drift[0] * store.T > 8 * splitter.LOG2E
+        assert state.bound[0] == np.inf
+        # word 4 is light and far from the move: its bound stays finite
+        kept = np.isfinite(state.bound)
+        assert kept[4]
+        assert (drift[kept] <= state.bound[kept] + splitter.DRIFT_MARGIN).all()
+
+    def test_znr_start_widens_every_bound_without_warnings(self):
+        # bit 1 starts empty, so the first step's t is 0: every bound
+        # becomes infinite, with no division by zero
+        store, _ = level_one_corpus("markov")
+        state = ClusterState(store, init_level(np.zeros(store.V, dtype=np.int32), 0, "znr"), 1)
+        assert np.isinf(state.bound).all()
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert splitter._iteration(state, False) == (True, 0)
+            assert np.isinf(state.bound).all()
+            run_level(state, "znr")
+        assert np.isfinite(state.bound).any()
+
+    @pytest.mark.parametrize("scale", [1, 1 << 20, 1 << 36])
+    def test_margin_covers_kernel_rounding(self, scale):
+        # a level-1 delta from batch_deltas is off from its exact value by
+        # less than a hundredth of DRIFT_MARGIN, here up to T ~ 2^51, so a
+        # kept and a fresh delta of one word differ by less than the margin
+        # beyond their exact drift
+        rng = np.random.default_rng(scale % 97)
+        V = 12
+        left, right = np.divmod(rng.choice(V * V, 60, replace=False), V)
+        store = BigramStore(V, left, right, rng.integers(1, 1000, 60) * scale)
+        for _ in range(5):
+            assignment = rng.integers(0, 2, V).astype(np.int32)
+            matrix = class_matrix(store, assignment, 2)
+            bank = ContextBank(store, assignment, 2)
+            got = splitter.batch_deltas(matrix, bank, np.arange(V), assignment)
+            error = np.abs(got - exact_level_one_deltas(store, assignment))
+            assert error.max() <= splitter.DRIFT_MARGIN / 100
 
 
 class TestCluster:
