@@ -206,9 +206,9 @@ class ContextBank:
     A word w's context is L[c], the count of bigrams (w, v), and R[c], that
     of bigrams (v, w), with v in class c; f(w, w) = store.self_count[w] is
     in both at w's class.  `assignment` is the caller's class id array,
-    which only move writes.  Where keeps_rows(store, C) holds, left and
-    right hold every word's L and R as dense V x C rows of the store's
-    count dtype, and a move repairs only its word's neighbours' rows;
+    which only move and move_all write.  Where keeps_rows(store, C) holds,
+    left and right hold every word's L and R as dense V x C rows of the
+    store's count dtype, and a move repairs only its word's neighbours' rows;
     otherwise they have no rows, and the counts come from the bigram edges
     and the class ids, which give the same counts, in that dtype, and
     cells in the same order.
@@ -279,6 +279,17 @@ class ContextBank:
             self.right[:, frm][ids] -= cnts
             self.right[:, to][ids] += cnts
         self.assignment[w] = to
+
+    def move_all(self, words: np.ndarray, frm: np.ndarray, to: np.ndarray, succ, pred) -> None:
+        """Record the moves words[k]: frm[k] -> to[k] at once, as move would
+        one by one; succ and pred are the words' succ_edges and pred_edges."""
+        if self.dense:
+            C = self.C
+            for rows, (k, v, cnt) in ((self.left, pred), (self.right, succ)):
+                flat, at = rows.ravel(), v * C
+                np.subtract.at(flat, at + frm[k], cnt)
+                np.add.at(flat, at + to[k], cnt)
+        self.assignment[words] = to
 
 
 def _row_context(ctx: np.ndarray, words: np.ndarray, a: np.ndarray, b: np.ndarray):

@@ -30,12 +30,12 @@ corners are bit flips of one index.  Nonzero cells are listed by scanning
 a bool mask (np.flatnonzero(x != 0)), which is cheaper than scanning the
 counts themselves.  Every count has the store's one count dtype (see
 bigram.BigramStore), so no kernel mixes int32 and int64 counts; h takes
-them to float64.  line_terms sums the h-terms of a set of rows
-and columns, so a commit confined to them is booked exactly.  delta_acmi
-is the scalar reference: it re-evaluates the two rows and columns before
-and after the move from the word's ContextBank.context, one masked
-p lg(p / (pl pr)) pass over the nonzero cells of each state, at most
-8(C-1) log terms in all.
+them to float64.  The splitter books a committed move set with h over
+the cells and marginals it changed.  delta_acmi is the scalar
+reference: it re-evaluates the two rows and columns before and after the
+move from the word's ContextBank.context, one masked p lg(p / (pl pr))
+pass over the nonzero cells of each state, at most 8(C-1) log terms in
+all.
 """
 
 from __future__ import annotations
@@ -155,25 +155,6 @@ def _h(n: np.ndarray) -> np.ndarray:
     # n lg n with h(0) = 0; counts are non-negative integers
     n = n.astype(np.float64)
     return n * np.log2(np.maximum(n, 1.0))
-
-
-def line_terms(matrix: ClassMatrix, classes: np.ndarray) -> float:
-    """T * ACMI's share from rows and columns `classes` (distinct ids).
-
-    sum h(N) over their cells, each intersection once, minus h of their
-    row and column marginals.  An update confined to those lines changes
-    ACMI by exactly (after - before) / T.
-    """
-    N = matrix.counts
-    s = -float(_h(np.concatenate((matrix.row[classes], matrix.col[classes]))).sum())
-    for lines, counted in ((N, []), (N.T, classes)):
-        block = lines[classes]
-        block[:, counted] = 0  # each intersection once, in the rows
-        # only the nonzero cells go to float; one block alive at a time
-        x = block[block > 0].astype(np.float64)
-        del block
-        s += float(np.dot(x, np.log2(x)))
-    return s
 
 
 def batch_deltas(

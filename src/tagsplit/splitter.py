@@ -25,13 +25,15 @@ neighbour in that word's pair.  A word's delta is summed over its own
 cells in a fixed order, so a kept delta is bit-identical to a rescored
 one and the picks are those of a full rescore.  The step then commits
 the best move of each group if it raises ACMI by more than EPSILON,
-1e-12 (ties go to the lowest word id).  A lone move's frozen delta is
-exact, so it is booked as is.  A batch of two or more is booked exactly
-from the h-terms of its touched sibling classes' rows and columns,
-summed before and after it commits (line_terms); if it lowered the
-objective, its moves are retracted one at a time, lowest-scoring first,
-each booked the same way over its one sibling pair, until the batch no
-longer sits below the step-start value.
+1e-12 (ties go to the lowest word id).  A lone move is committed through
+apply_move, and its frozen delta, which is exact, is booked as is.  A
+batch of two or more, whose sibling pairs are disjoint, is committed in
+one tally over its movers' bigram edges and booked exactly from the
+h-terms of the cells and marginals that tally changed
+(ClusterState.commit_all); if it lowered the objective, its moves are
+retracted one at a time, lowest-scoring first, each by the same tally,
+until the batch no longer sits below the step-start value.  A one-move
+tally costs several times what apply_move does, so lone moves keep it.
 Retractions are moves, so they disturb pairs by the same rule.  acmi()
 runs only once at the start and once at the end of each level, the
 second time as the drift guard.
@@ -84,7 +86,7 @@ import numpy as np
 from .bigram import MAX_CLASSES, MAX_LEVELS, BigramStore, ContextBank, apply_move, class_matrix
 from .corpus import Vocabulary
 from .errors import ConfigError, ConsistencyError, IngestionError
-from .objective import EPSILON, acmi, batch_deltas, line_terms
+from .objective import EPSILON, _h, acmi, batch_deltas
 # not called here; perfbench/invoke.py wraps these on this module by name
 from .objective import delta_acmi, pair_before_sum  # noqa: F401
 
@@ -211,7 +213,9 @@ class ClusterState:
 
     Single-writer: commits are serialized; scoring reads a consistent
     snapshot between commits.  moved lists the committed words in order,
-    one entry per commit (a retraction adds none).
+    one entry per commit (a retraction adds none).  acmi is the running
+    ACMI: commit_all and retract book their exact change into it, and the
+    caller of a lone commit books the move's delta.
     assignment is the class ids the bank holds and alone writes.
     delta[w] is w's move delta as last scored.  Above level 1 it is
     current unless dirty flags a class of w's sibling pair; at level 1 it
@@ -259,7 +263,9 @@ class ClusterState:
         m = self.matrix
         return [*m.counts.ravel().tolist(), *m.row.tolist(), *m.col.tolist()]
 
-    def _shift(self, w: int, frm: int, to: int) -> None:
+    def commit(self, w: int, to: int) -> None:
+        """Move w to class to through apply_move; the caller books it."""
+        frm = int(self.assignment[w])
         if self.bound is not None:
             before = self._pair_counts()
         L, R = apply_move(self.matrix, self.bank, w, frm, to)
@@ -269,10 +275,13 @@ class ClusterState:
         self.dirty[frm] = True
         self.bank.move(w, frm, to)
         if self.bound is not None:
-            self._widen(w, before)
+            store = self.bank.store
+            self._widen(before, w, store.succ(w)[0], store.pred(w)[0])
+        self.moved.append(w)
 
-    def _widen(self, w: int, before: list[int]) -> None:
-        """Add the drift of w's move to every level-1 bound."""
+    def _widen(self, before: list[int], *changed) -> None:
+        """Add the drift of a move set to every level-1 bound; `changed`
+        holds the words whose own x changed: the movers, their neighbours."""
         # Y is the counts' total change, t the least changed count at its
         # smaller value (inf if none changed)
         t, Y = math.inf, 0
@@ -284,18 +293,98 @@ class ClusterState:
         else:
             self.bound += (2 * LOG2E * Y / (t * self.matrix.T)) * self.mass
             np.putmask(self.bound, self.mass > t / 2, np.inf)
-        # the mover's and its neighbours' own x changed
-        self.bound[w] = np.inf
-        self.bound[self.bank.store.succ(w)[0]] = np.inf
-        self.bound[self.bank.store.pred(w)[0]] = np.inf
+        for words in changed:
+            self.bound[words] = np.inf
 
-    def commit(self, w: int, to: int) -> None:
-        frm = int(self.assignment[w])
-        self._shift(w, frm, to)
-        self.moved.append(w)
+    def _move_all(self, words: np.ndarray, to: np.ndarray) -> float:
+        """Move each words[k] to class to[k] at once; return the exact
+        change in T * ACMI.
+
+        The moves' classes, every source and every destination, are
+        distinct, as the sibling pairs of a znrp batch are.  Each bigram
+        with a mover at either end leaves its pre-move cell for its
+        post-move one in one tally, an edge between two movers and a
+        (w, w) bigram once, so the matrix and marginals end as the same
+        moves committed one at a time leave them, integer-identical to a
+        rebuild.  The change is booked from the h-terms of the cells and
+        marginals the tally changed.  Each mover's source class and each
+        neighbour's pre-move class are marked dirty, which at pair level
+        is what the moves committed one by one would mark.  Raises
+        ConsistencyError where a changed count goes negative: the class
+        ids do not match the matrix.
+        """
+        store, m, A, C = self.bank.store, self.matrix, self.assignment, self.C
+        if self.bound is not None:
+            before = self._pair_counts()
+        frm = A[words]
+        succ = ks, vs, cs = store.succ_edges(words)
+        pred = kp, vp, cp = store.pred_edges(words)
+        # the bigrams (words[ks], vs) out of the movers, then (vp, words[kp])
+        # into them.  numpy keeps freed blocks under 1 KiB for reuse, up to
+        # 7 of each size, and an edge count is a new size on most calls, so
+        # temporaries are kept few and short-lived: flat cell ids are built
+        # in place, as the intp that np.add.at would otherwise copy them to
+        left, right = np.concatenate((words[ks], vp)), np.concatenate((vs, words[kp]))
+        self.dirty[frm] = True
+        old = A[left].astype(np.intp)
+        self.dirty[old] = True
+        rb = A[right]
+        self.dirty[rb] = True
+        old *= C
+        old += rb
+        del rb
+        self.bank.move_all(words, frm, to, succ, pred)
+        new = A[left].astype(np.intp)
+        new *= C
+        new += A[right]
+        # a bigram from one mover into another is among the first's
+        # successors already: drop it from the second's predecessors
+        e = len(ks)
+        n = np.concatenate((cs, cp))
+        n[e:][old[e:] // C != new[e:] // C] = 0
+        N = m.counts.ravel()
+        cells = np.concatenate((old, new))
+        cells.sort()
+        first = np.empty(len(cells), dtype=bool)
+        first[:1] = True
+        np.not_equal(cells[1:], cells[:-1], out=first[1:])
+        cells = cells[first]
+        del first
+        cells_before = N[cells]
+        np.subtract.at(N, old, n)
+        np.add.at(N, new, n)
+        del old, new, n
+        # each mover's successor mass leaves its source row for its
+        # destination row, its predecessor mass likewise between columns
+        classes = np.concatenate((frm, to))
+        r, c = m.row[classes], m.col[classes]
+        sL, sR = store.succ_total[words], store.pred_total[words]
+        m.row[classes] = r2 = r + np.concatenate((-sL, sL))
+        m.col[classes] = c2 = c + np.concatenate((-sR, sR))
+        counts = np.concatenate((N[cells], r2, c2, cells_before, r, c))
+        half = len(counts) // 2
+        if counts[:half].min() < 0:
+            raise ConsistencyError(
+                f"a move set drove a count negative (words {words.tolist()}); "
+                "the class ids do not match the matrix"
+            )
+        if self.bound is not None:
+            self._widen(before, words, vs, vp)
+        h = _h(counts)
+        d = h[:half] - h[half:]
+        return float(d[: len(cells)].sum() - d[len(cells):].sum())
+
+    def commit_all(self, words: np.ndarray, to: np.ndarray) -> None:
+        """Commit the moves words[k] -> to[k] at once (see _move_all) and
+        book their exact change."""
+        self.acmi += self._move_all(words, to) / self.matrix.T
+        self.moved.extend(words.tolist())
 
     def retract(self, w: int, back_to: int) -> None:
-        self._shift(w, int(self.assignment[w]), back_to)
+        """Move w back to class back_to and book the exact change."""
+        if back_to == self.assignment[w]:
+            raise ValueError(f"word {w} is in class {back_to} already")
+        self.acmi += self._move_all(np.array([w]), np.array([back_to])) / self.matrix.T
 
 
 def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int]:
@@ -307,7 +396,9 @@ def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int]:
     the eligible words of dirty pairs are rescored, and the others keep
     their deltas, which no move since their scoring changed.  At level 1
     the words whose kept delta can still reach tau are rescored, and the
-    pick is made among them.
+    pick is made among them.  A lone pick is committed alone and booked at
+    its delta; two or more go through commit_all, and each retraction
+    through retract, both of which book the exact change they make.
     Returns (progressed, retracted).
     """
     words = state.eligible_words()
@@ -348,21 +439,14 @@ def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int]:
         state.commit(int(words[best[0]]), int(frm[best[0]]) ^ 1)
         state.acmi = start + float(d[best[0]])
         return True, 0
-    # one move per parent, so the touched sibling pairs are disjoint
-    touched = np.concatenate((frm[best], frm[best] ^ 1))
-    before = line_terms(state.matrix, touched)
-    for i in best:
-        state.commit(int(words[i]), int(frm[i]) ^ 1)
-    state.acmi += (line_terms(state.matrix, touched) - before) / state.matrix.T
+    # one move per parent, so the moves' sibling pairs are disjoint
+    state.commit_all(words[best], frm[best] ^ 1)
     retracted = 0
     # a batch that lowered the objective gives back its lowest-scoring
     # moves first until it no longer sits below the step-start value
     if state.acmi < start:
         for i in sorted(best, key=lambda i: (float(d[i]), int(words[i]))):
-            pair = np.array([frm[i], frm[i] ^ 1])
-            before = line_terms(state.matrix, pair)
             state.retract(int(words[i]), int(frm[i]))
-            state.acmi += (line_terms(state.matrix, pair) - before) / state.matrix.T
             retracted += 1
             if state.acmi >= start:
                 break

@@ -7,10 +7,12 @@ stay independent.  build_vocabulary_oracle shares only the package's
 rare-word classifier and pseudo-label pattern.  pair_count and
 context_vectors are the scalar lookups over a BigramStore that only tests
 need, and cells_oracle lists a ContextBank's cells from them word by
-word.  context_source and bank_from pick where a ContextBank reads its
-counts, so a test can run one state on both sources.  full_rescore makes
-level 1 rescore every eligible word, as a search without its drift bound
-would.  plogp_cells counts the scalar oracle's logs.
+word.  line_terms sums the n lg n terms of whole rows and columns of a
+class matrix, the booking oracle for a commit confined to them.
+context_source and bank_from pick where a ContextBank reads its counts,
+so a test can run one state on both sources.  full_rescore makes level 1
+rescore every eligible word, as a search without its drift bound would.
+plogp_cells counts the scalar oracle's logs.
 """
 
 from __future__ import annotations
@@ -243,6 +245,26 @@ def acmi_oracle(N) -> float:
                 p = N[i, j] / T
                 total += p * math.log2(p / ((row[i] / T) * (col[j] / T)))
     return total
+
+
+def line_terms(matrix, classes) -> float:
+    """T * ACMI's share from rows and columns `classes` (distinct ids).
+
+    sum n lg n over their cells, each intersection once, minus the same
+    over their row and column marginals.  An update confined to those
+    lines changes ACMI by exactly (after - before) / T.
+    """
+    def h(x):
+        x = x[x > 0].astype(np.float64)
+        return float(np.dot(x, np.log2(x)))
+
+    N = matrix.counts
+    s = -h(np.concatenate((matrix.row[classes], matrix.col[classes])))
+    for lines, counted in ((N, []), (N.T, classes)):
+        block = lines[classes]
+        block[:, counted] = 0  # each intersection once, in the rows
+        s += h(block)
+    return s
 
 
 def random_instance(seed, V=None, length=None, C=4):

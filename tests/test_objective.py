@@ -18,7 +18,7 @@ from tagsplit import (
     cluster,
     count_bigrams,
 )
-from tagsplit import objective, splitter
+from tagsplit import splitter
 from tagsplit.bigram import ContextBank, apply_move
 from tagsplit.objective import batch_deltas, delta_acmi
 from tagsplit.synth import markov_text
@@ -28,6 +28,7 @@ from conftest import (
     cells_oracle,
     context_source,
     full_rescore,
+    line_terms,
     make_stream,
     random_instance,
 )
@@ -216,13 +217,13 @@ class TestLineTerms:
         parents = rng.choice(C // 2, int(rng.integers(1, C // 2 + 1)), replace=False)
         touched = np.concatenate((2 * parents, 2 * parents + 1))
         start = acmi(matrix)
-        before = objective.line_terms(matrix, touched)
+        before = line_terms(matrix, touched)
         for w in rng.permutation(store.V)[: store.V // 2]:
             frm = int(assignment[w])
             if frm >> 1 in parents:
                 apply_move(matrix, bank, int(w), frm, frm ^ 1)
                 bank.move(int(w), frm, frm ^ 1)
-        change = objective.line_terms(matrix, touched) - before
+        change = line_terms(matrix, touched) - before
         assert change / matrix.T == pytest.approx(acmi(matrix) - start, abs=1e-12)
 
 

@@ -35,6 +35,7 @@ from conftest import (
     context_source,
     context_vectors,
     full_rescore,
+    line_terms,
     make_stream,
     random_instance,
 )
@@ -231,6 +232,84 @@ class TestCommitRetract:
             state.retract(w, frm)
             for old, new in zip(before, snapshot()):
                 assert np.array_equal(old, new)
+            with pytest.raises(ValueError, match="already"):
+                state.retract(w, frm)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 10_000),
+        level=st.integers(2, 6),
+        empty=st.booleans(),
+        n_moves=st.integers(1, 8),
+    )
+    def test_commit_all_matches_one_move_at_a_time(self, seed, level, empty, n_moves):
+        # a move set with one move per sibling pair, committed at once and
+        # one move at a time, on both sources.  Movers are drawn along
+        # bigram edges from a word with a (w, w) bigram, so they neighbour
+        # each other; with `empty`, class 1 starts empty
+        C = 1 << level
+        _, assignment, store = random_instance(seed, C=C)
+        if empty:
+            assignment[assignment == 1] = 0
+        rng = np.random.default_rng(seed)
+        queue = rng.permutation(store.V).tolist()
+        if store.self_count.any():
+            queue.insert(0, int(rng.choice(np.flatnonzero(store.self_count))))
+        words, pairs = [], set()
+        while queue and len(words) < n_moves:
+            w = queue.pop(0)
+            if assignment[w] >> 1 not in pairs:
+                pairs.add(assignment[w] >> 1)
+                words.append(w)
+                near = np.concatenate((store.succ(w)[0], store.pred(w)[0]))
+                queue[:0] = rng.permutation(near).tolist()
+        words = np.array(words)
+        to = assignment[words] ^ 1
+
+        def arrays(state):
+            m, bank = state.matrix, state.bank
+            return m.counts, m.row, m.col, state.assignment, bank.left, bank.right
+
+        for source in ("rows", "edges"):
+            with context_source(source):
+                at_once = ClusterState(store, assignment, level)
+                one_by_one = ClusterState(store, assignment, level)
+            at_once.dirty[:] = one_by_one.dirty[:] = False
+            at_once.commit_all(words, to)
+            for w, t in zip(words, to):
+                one_by_one.commit(int(w), int(t))
+            for a, b in zip(arrays(at_once), arrays(one_by_one)):
+                assert np.array_equal(a, b)
+            fresh = class_matrix(store, at_once.assignment, C)
+            with context_source(source):
+                bank = ContextBank(store, at_once.assignment.copy(), C)
+            for a, b in zip(arrays(at_once), (fresh.counts, fresh.row, fresh.col,
+                                              bank.assignment, bank.left, bank.right)):
+                assert np.array_equal(a, b)
+            assert at_once.moved == one_by_one.moved == words.tolist()
+            pairs_of = [d[0::2] | d[1::2] for d in (at_once.dirty, one_by_one.dirty)]
+            assert np.array_equal(*pairs_of)
+            assert abs(at_once.acmi - acmi(at_once.matrix)) <= 1e-9
+
+            if not empty:
+                continue
+            # a word of class 0 whose id reads 1, the empty class: moving it
+            # "back" to 0 takes its bigrams from class 1's zero counts
+            heavy = np.flatnonzero((assignment == 0) & (store.succ_total + store.pred_total > 0))
+            assume(len(heavy))
+            w = int(heavy[0])
+            kept = [(v, t) for v, t in zip(words, to) if assignment[v] >> 1 and v != w]
+            bad_words = np.array([w] + [v for v, _ in kept])
+            bad_to = np.array([0] + [t for _, t in kept])
+            for commit_set in (
+                lambda state: state.commit_all(bad_words, bad_to),
+                lambda state: [state.commit(int(v), int(t)) for v, t in zip(bad_words, bad_to)],
+            ):
+                with context_source(source):
+                    state = ClusterState(store, assignment, level)
+                state.assignment[w] = 1
+                with pytest.raises(ConsistencyError, match="negative"):
+                    commit_set(state)
 
     @pytest.mark.parametrize("level", range(1, 11))
     def test_move_sequences_match_rebuild(self, level):
@@ -553,8 +632,10 @@ class TestSearchSelection:
 
     def test_batch_bookkeeping_is_exact(self, monkeypatch):
         # znrp books each batch and each retraction from the h-terms of the
-        # lines it touched; a full acmi() runs only at a level's start and
-        # end.  This corpus retracts at levels 5 and 7.
+        # cells and marginals it changed; a full acmi() runs only at a
+        # level's start and end.  Every such booking equals the h-terms of
+        # the touched classes' whole rows and columns, summed before and
+        # after, to 1e-12 relative.  This corpus retracts at levels 5 and 7.
         vocab, stream = build_vocabulary(
             markov_text(20_000, n_types=10_000, n_states=24, seed=7), 200
         )
@@ -579,6 +660,19 @@ class TestSearchSelection:
             assert_booked(state, "retraction")
             retract(state, w, back_to)
 
+        move_all = splitter.ClusterState._move_all
+
+        def checked_move_all(state, words, to):
+            touched = np.concatenate((state.assignment[words], to))
+            before = line_terms(state.matrix, touched)
+            change = move_all(state, words, to)
+            after = line_terms(state.matrix, touched)
+            # relative to the line sums, whose difference rounds far more
+            # than the booking's sum over the changed cells does
+            assert abs(change - (after - before)) <= 1e-12 * abs(before)
+            checked["oracle"] += 1
+            return change
+
         step = splitter._iteration
 
         def checked_step(state, per_parent):
@@ -589,10 +683,12 @@ class TestSearchSelection:
 
         monkeypatch.setattr(splitter, "acmi", counted_acmi)
         monkeypatch.setattr(splitter.ClusterState, "retract", checked_retract)
+        monkeypatch.setattr(splitter.ClusterState, "_move_all", checked_move_all)
         monkeypatch.setattr(splitter, "_iteration", checked_step)
         _, stats = cluster(vocab, store, ClusterConfig(strategy="znrp", levels=10))
         assert checked["retraction"] == sum(s.retracted_moves for s in stats) > 0
         assert checked["batch"] > 50
+        assert checked["oracle"] >= checked["batch"] + checked["retraction"]
         assert full_calls == {1 << level: 2 for level in range(1, 11)}
 
     @pytest.mark.parametrize("strategy", ["m", "znr", "znrp"])
