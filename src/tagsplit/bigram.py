@@ -64,9 +64,8 @@ class BigramStore:
         self._succ_bounds = np.searchsorted(self.left, np.arange(V + 1))
         order_p = np.lexsort((self.left, self.right))
         self._pred_left = self.left[order_p]
-        self._pred_right = self.right[order_p]
         self._pred_counts = self.counts[order_p]
-        self._pred_bounds = np.searchsorted(self._pred_right, np.arange(V + 1))
+        self._pred_bounds = np.searchsorted(self.right[order_p], np.arange(V + 1))
         self.succ_total = np.zeros(V, dtype=dtype)
         np.add.at(self.succ_total, self.left, self.counts)
         self.pred_total = np.zeros(V, dtype=dtype)
@@ -103,6 +102,15 @@ def _edges(bounds: np.ndarray, targets: np.ndarray, counts: np.ndarray, words: n
     return k, targets[at], counts[at]
 
 
+def run_starts(x: np.ndarray) -> np.ndarray:
+    """A bool mask, True at the first element of each run of equal values
+    in the sorted array x."""
+    first = np.empty(len(x), dtype=bool)
+    first[:1] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return first
+
+
 def count_bigrams(stream: TokenStream, V: int | None = None) -> BigramStore:
     """Count adjacent in-segment pairs once each; breaks sever pairs."""
     ids = np.asarray(stream.ids)
@@ -128,11 +136,7 @@ def count_bigrams(stream: TokenStream, V: int | None = None) -> BigramStore:
     # search with a scalar of key's own dtype: numpy 2 compares an int32
     # key with a Python int through an int64 copy of the whole key
     key = key[: np.searchsorted(key, key.dtype.type(V * V))]
-    # one bool per pair marks where each run of equal keys starts
-    first = np.empty(len(key), dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(run_starts(key))
     uniq = key[starts].astype(np.int64)
     return BigramStore(V, uniq // V, uniq % V, np.diff(starts, append=len(key)))
 
@@ -242,12 +246,12 @@ class ContextBank:
         """w's (L, R), length C each; views of the rows at a dense level."""
         if self.dense:
             return self.left[w], self.right[w]
-        # float64 bincount sums are exact: a word's counts total at most T < 2**53
         dtype = self.store.counts.dtype
+        L, R = np.zeros(self.C, dtype=dtype), np.zeros(self.C, dtype=dtype)
         ids, cnts = self.store.succ(w)
-        L = np.bincount(self.assignment[ids], cnts, minlength=self.C).astype(dtype)
+        np.add.at(L, self.assignment[ids], cnts)
         ids, cnts = self.store.pred(w)
-        R = np.bincount(self.assignment[ids], cnts, minlength=self.C).astype(dtype)
+        np.add.at(R, self.assignment[ids], cnts)
         return L, R
 
     def cells(self, words: np.ndarray, a: np.ndarray) -> list[tuple]:
@@ -327,9 +331,7 @@ def _edge_context(edges, words, assignment: np.ndarray, C: int, a: np.ndarray, b
     packed = (k << cb | assignment[v]) << bits | cnt
     packed.sort()
     key, cnt = packed >> bits, packed & ((1 << bits) - 1)
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    start = np.flatnonzero(first)
+    start = np.flatnonzero(run_starts(key))
     x = np.add.reduceat(cnt, start).astype(dtype)
     key = key[start]
     k, j = key >> cb, key & ((1 << cb) - 1)

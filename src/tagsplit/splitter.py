@@ -83,7 +83,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bigram import MAX_CLASSES, MAX_LEVELS, BigramStore, ContextBank, apply_move, class_matrix
+from .bigram import MAX_CLASSES, MAX_LEVELS, BigramStore, ContextBank, apply_move
+from .bigram import class_matrix, run_starts
 from .corpus import Vocabulary
 from .errors import ConfigError, ConsistencyError, IngestionError
 from .objective import EPSILON, _h, acmi, batch_deltas
@@ -109,7 +110,7 @@ STRATEGY_PARALLEL = "znrp"
 STRATEGIES = (STRATEGY_RANDOM, STRATEGY_NONRANDOM, STRATEGY_PARALLEL)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterConfig:
     """Knobs for a clustering run; see module docstring for strategies."""
 
@@ -320,40 +321,26 @@ class ClusterState:
         succ = ks, vs, cs = store.succ_edges(words)
         pred = kp, vp, cp = store.pred_edges(words)
         # the bigrams (words[ks], vs) out of the movers, then (vp, words[kp])
-        # into them.  numpy keeps freed blocks under 1 KiB for reuse, up to
-        # 7 of each size, and an edge count is a new size on most calls, so
-        # temporaries are kept few and short-lived: flat cell ids are built
-        # in place, as the intp that np.add.at would otherwise copy them to
+        # into them
         left, right = np.concatenate((words[ks], vp)), np.concatenate((vs, words[kp]))
         self.dirty[frm] = True
-        old = A[left].astype(np.intp)
-        self.dirty[old] = True
-        rb = A[right]
-        self.dirty[rb] = True
-        old *= C
-        old += rb
-        del rb
+        self.dirty[A[left]] = True
+        self.dirty[A[right]] = True
+        # flat cell ids; int32 holds them all, as C * C <= 2**20
+        old = A[left] * C + A[right]
         self.bank.move_all(words, frm, to, succ, pred)
-        new = A[left].astype(np.intp)
-        new *= C
-        new += A[right]
+        new = A[left] * C + A[right]
         # a bigram from one mover into another is among the first's
         # successors already: drop it from the second's predecessors
         e = len(ks)
         n = np.concatenate((cs, cp))
         n[e:][old[e:] // C != new[e:] // C] = 0
         N = m.counts.ravel()
-        cells = np.concatenate((old, new))
-        cells.sort()
-        first = np.empty(len(cells), dtype=bool)
-        first[:1] = True
-        np.not_equal(cells[1:], cells[:-1], out=first[1:])
-        cells = cells[first]
-        del first
+        cells = np.sort(np.concatenate((old, new)))
+        cells = cells[run_starts(cells)]
         cells_before = N[cells]
         np.subtract.at(N, old, n)
         np.add.at(N, new, n)
-        del old, new, n
         # each mover's successor mass leaves its source row for its
         # destination row, its predecessor mass likewise between columns
         classes = np.concatenate((frm, to))
@@ -426,10 +413,7 @@ def _iteration(state: ClusterState, per_parent: bool) -> tuple[bool, int]:
     # by group, then best delta, then lowest word id: the first row of
     # each group's run is its best candidate
     order = np.lexsort((words, -d, group))
-    g = group[order]
-    first = np.ones(len(g), dtype=bool)
-    first[1:] = g[1:] != g[:-1]
-    best = order[first]
+    best = order[run_starts(group[order])]
     best = best[d[best] > EPSILON]
     if not len(best):
         return False, 0

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagsplit import BigramStore, ConsistencyError, class_matrix, count_bigrams
-from tagsplit.bigram import ContextBank, apply_move
+from tagsplit.bigram import ContextBank, apply_move, run_starts
 from tagsplit.objective import batch_deltas, delta_acmi
 from conftest import (
     bank_from,
@@ -173,6 +173,19 @@ class TestCountBigrams:
         for w in range(store.V):
             assert store.succ_total[w] == sum(c for (u, _), c in pairs.items() if u == w)
             assert store.pred_total[w] == sum(c for (_, v), c in pairs.items() if v == w)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, np.intp])
+@pytest.mark.parametrize(
+    "values", [[], [7], [3, 3, 3, 3], [0, 1, 0, 1, 0], [1, 1, 2, 5, 5, 5, 9]],
+    ids=["empty", "one", "all-equal", "alternating", "sorted-runs"],
+)
+def test_run_starts_marks_the_first_of_each_run(values, dtype):
+    x = np.array(values, dtype=dtype)
+    want = np.concatenate(([True], np.diff(x) != 0))[: len(x)]
+    got = run_starts(x)
+    assert got.dtype == bool
+    assert np.array_equal(got, want)
 
 
 class TestClassMatrix:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import decimal
 import tracemalloc
 import warnings
@@ -80,6 +81,17 @@ class TestClusterConfig:
     def test_bad_pin_path(self):
         with pytest.raises(ConfigError):
             ClusterConfig(pinned={"the": "102"})
+
+    def test_fields_cannot_be_set_past_the_checks(self):
+        # a field set after construction would skip __post_init__: a seed
+        # of -1 reached numpy, a pin path "2" the class matrix
+        bad = {"strategy": "annealing", "levels": 11, "seed": -1, "pinned": {"man": "2"}}
+        config = ClusterConfig()
+        assert set(bad) == {f.name for f in dataclasses.fields(ClusterConfig)}
+        for name, value in bad.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, name, value)
+        assert config == ClusterConfig()
 
 
 def root(V):
