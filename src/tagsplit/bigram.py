@@ -263,6 +263,15 @@ class ContextBank:
         a ^ 1.  k and j are int64; x, at_a and at_b have the store's count
         dtype.
         """
+        if self.dense and self.C == 2:
+            # no class lies off the pair: no cell to list, and word w's
+            # corners sit at 2w + a and 2w + b of the flat rows
+            ia = 2 * words + a
+            ib, none = ia ^ 1, np.zeros(0, dtype=np.int64)
+            return [
+                (none, none, flat[:0], flat[ia], flat[ib])
+                for flat in (self.left.ravel(), self.right.ravel())
+            ]
         b = a ^ 1
         if self.dense:
             return [_row_context(ctx, words, a, b) for ctx in (self.left, self.right)]

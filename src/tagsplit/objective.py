@@ -22,7 +22,9 @@ cells, predecessor cells, corners, and passed through h once; views of it
 are then summed per word, so a search step costs a small, fixed number
 of numpy calls whatever the number of words.  The cells come from
 ContextBank.cells, which lists them from dense rows or from bigram edges
-in the same order, so both give the same deltas to the bit.  The per-step
+in the same order, so both give the same deltas to the bit.  At C = 2
+no class lies off the pair: cells lists none, and batch_deltas skips
+its off-corner block, which would add exactly 0.0.  The per-step
 kernels address the C x C table by flat index, cell (i, j) at i*C + j,
 with one 1-D gather per set of cells and no index pairs; as C is a power
 of two and b = a ^ 1, the line-b cell beside a line-a cell and the four
@@ -191,13 +193,19 @@ def batch_deltas(
 
     # off-corner cells: rows a and b at w's successor classes, then
     # columns a and b at w's predecessor classes.  Cell (i, j) is N[i*C + j]
-    # and b = a ^ 1, so line b's cell is line a's with one bit flipped
+    # and b = a ^ 1, so line b's cell is line a's with one bit flipped.
+    # Where no cell is listed, as always at C = 2, the block is skipped: it
+    # would add exactly 0.0 to every delta
     (k1, j1, x1, La, Lb), (k2, j2, x2, Ra, Rb) = bank.cells(words, a)
-    i1 = a[k1] * C + j1
-    i2 = j2 * C + a[k2]
-    na1, nb1 = N[i1], N[i1 ^ C]
-    na2, nb2 = N[i2], N[i2 ^ 1]
     m1, m = len(k1), len(k1) + len(k2)
+    after_a = before_a = line_b = ()
+    if m:
+        i1 = a[k1] * C + j1
+        i2 = j2 * C + a[k2]
+        na1, nb1 = N[i1], N[i1 ^ C]
+        na2, nb2 = N[i2], N[i2 ^ 1]
+        after_a, before_a = (na1 - x1, na2 - x2), (na1, na2)
+        line_b = (nb1 + x1, nb2 + x2, nb1, nb2)
 
     f = bank.store.self_count[words]
     ia = a * (C + 1)
@@ -207,12 +215,12 @@ def batch_deltas(
     ra, rb, ca, cb = matrix.row[a], matrix.row[b], matrix.col[a], matrix.col[b]
     counts = np.concatenate((
         # post-move counts in line a, then corners; the (w,w) mass lands on (b,b)
-        na1 - x1, na2 - x2,
+        *after_a,
         aa - La - Ra + f, ab - Lb + Ra - f, ba + La - Rb - f, bb + Lb + Rb + f,
         # their pre-move counts
-        na1, na2, aa, ab, ba, bb,
+        *before_a, aa, ab, ba, bb,
         # line b after and before
-        nb1 + x1, nb2 + x2, nb1, nb2,
+        *line_b,
         # marginals: w's successor mass leaves row a for row b, its
         # predecessor mass column a for column b
         ra - sL, ca - sR, ra, ca, rb + sL, cb + sR, rb, cb,
@@ -232,11 +240,12 @@ def batch_deltas(
     h = _h(counts)
     # after minus before: line a's cells, then the corners
     d = h[:p] - h[p:2 * p]
-    cells = d[:m] + h[2 * p:2 * p + m] - h[2 * p + m:2 * (p + m)]
     # float zeros first: np.bincount over no cells returns int64
     total = np.zeros(n, dtype=np.float64)
-    total += np.bincount(k1, cells[:m1], minlength=n)
-    total += np.bincount(k2, cells[m1:], minlength=n)
+    if m:
+        cells = d[:m] + h[2 * p:2 * p + m] - h[2 * p + m:2 * (p + m)]
+        total += np.bincount(k1, cells[:m1], minlength=n)
+        total += np.bincount(k2, cells[m1:], minlength=n)
     for corner in d[m:].reshape(4, n):
         total += corner
     hm = h[2 * (p + m):].reshape(4, 2, n)

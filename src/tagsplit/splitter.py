@@ -56,7 +56,12 @@ With slack = bound + DRIFT_MARGIN and tau the largest kept delta minus
 slack, a step rescores the words whose kept delta plus slack reaches
 tau and picks among them.  The word attaining tau is rescored and its
 fresh delta is at least tau, while every skipped word's fresh delta lies
-below tau, so the pick is that of a full rescore.
+below tau, so the pick is that of a full rescore.  A commit reads the
+8 counts before and after its move, and a move-set tally takes them from
+the cells and marginals it changed.  A level-1 commit marks no pair
+dirty, as the bound alone decides what a level-1 step rescores.  No
+class lies off the pair, so a level-1 step lists no context cell and
+batch_deltas skips its off-corner block.
 
 Each level's ContextBank holds its int32 class ids and decides once, from
 the store and the level alone, where the words' context counts come
@@ -270,23 +275,27 @@ class ClusterState:
         if self.bound is not None:
             before = self._pair_counts()
         L, R = apply_move(self.matrix, self.bank, w, frm, to)
-        # a word in another pair keeps its delta unless w neighbours it or
-        # a member of its pair: only then do its cells or context change
-        np.logical_or(self.dirty, L + R, out=self.dirty)
-        self.dirty[frm] = True
+        if self.bound is None:
+            # a word in another pair keeps its delta unless w neighbours it
+            # or a member of its pair: only then do its cells or context
+            # change.  Level 1 reads its bound instead
+            np.logical_or(self.dirty, L + R, out=self.dirty)
+            self.dirty[frm] = True
         self.bank.move(w, frm, to)
         if self.bound is not None:
             store = self.bank.store
-            self._widen(before, w, store.succ(w)[0], store.pred(w)[0])
+            self._widen(before, self._pair_counts(), w, store.succ(w)[0], store.pred(w)[0])
         self.moved.append(w)
 
-    def _widen(self, before: list[int], *changed) -> None:
-        """Add the drift of a move set to every level-1 bound; `changed`
-        holds the words whose own x changed: the movers, their neighbours."""
+    def _widen(self, before: list[int], after: list[int], *changed) -> None:
+        """Add the drift of a move set to every level-1 bound: before[i] and
+        after[i] are a count a delta reads, before and after the set, and
+        `changed` holds the words whose own x changed: the movers, their
+        neighbours."""
         # Y is the counts' total change, t the least changed count at its
         # smaller value (inf if none changed)
         t, Y = math.inf, 0
-        for b, a in zip(before, self._pair_counts()):
+        for b, a in zip(before, after):
             if a != b:
                 t, Y = min(t, a, b), Y + abs(a - b)
         if t == 0:
@@ -294,8 +303,8 @@ class ClusterState:
         else:
             self.bound += (2 * LOG2E * Y / (t * self.matrix.T)) * self.mass
             np.putmask(self.bound, self.mass > t / 2, np.inf)
-        for words in changed:
-            self.bound[words] = np.inf
+            for words in changed:
+                self.bound[words] = np.inf
 
     def _move_all(self, words: np.ndarray, to: np.ndarray) -> float:
         """Move each words[k] to class to[k] at once; return the exact
@@ -309,14 +318,12 @@ class ClusterState:
         moves committed one at a time leave them, integer-identical to a
         rebuild.  The change is booked from the h-terms of the cells and
         marginals the tally changed.  Each mover's source class and each
-        neighbour's pre-move class are marked dirty, which at pair level
-        is what the moves committed one by one would mark.  Raises
-        ConsistencyError where a changed count goes negative: the class
-        ids do not match the matrix.
+        neighbour's pre-move class are marked dirty, which above level 1
+        is what the moves committed one by one would mark at pair level.
+        Raises ConsistencyError where a changed count goes negative: the
+        class ids do not match the matrix.
         """
         store, m, A, C = self.bank.store, self.matrix, self.assignment, self.C
-        if self.bound is not None:
-            before = self._pair_counts()
         frm = A[words]
         succ = ks, vs, cs = store.succ_edges(words)
         pred = kp, vp, cp = store.pred_edges(words)
@@ -356,7 +363,9 @@ class ClusterState:
                 "the class ids do not match the matrix"
             )
         if self.bound is not None:
-            self._widen(before, words, vs, vp)
+            # level 1: the counts the tally changed are all a delta reads
+            # that changed
+            self._widen(counts[half:].tolist(), counts[:half].tolist(), words, vs, vp)
         h = _h(counts)
         d = h[:half] - h[half:]
         return float(d[: len(cells)].sum() - d[len(cells):].sum())

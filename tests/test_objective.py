@@ -374,6 +374,11 @@ class TestBatchDeltas:
                 batch_deltas(matrix, bank, words[:1], np.array([2]))
 
 
+# level-1 edge cases: class 1 empty, a word alone in its class, and a
+# word with a (w, w) bigram
+LEVEL_ONE_STATES = ("znr start", "lone word", "self bigram")
+
+
 class TestContextCellBranches:
     """ContextBank.cells lists context cells from dense rows at the levels
     that keep them and from the bigram edges and class ids at the levels
@@ -391,6 +396,38 @@ class TestContextCellBranches:
             bank.move(int(w), frm, frm ^ 1)
         return store, assignment, matrix
 
+    @staticmethod
+    def _level_one(state):
+        # V = 12 with the bigram (3, 3) twice: every word in class 0 (the
+        # znr start, class 1 empty), word 5 alone in class 1, or a random
+        # split with word 3's neighbours in both classes
+        rng = np.random.default_rng(11)
+        ids = np.concatenate(([3, 3, 3], rng.integers(0, 12, 200)))
+        store = count_bigrams(make_stream(ids, breaks=[3]), 12)
+        assert store.self_count[3] >= 2
+        assignment = np.zeros(12, dtype=np.int32)
+        if state == "lone word":
+            assignment[5] = 1
+        elif state == "self bigram":
+            assignment = rng.integers(0, 2, 12).astype(np.int32)
+            neighbours = np.concatenate((store.succ(3)[0], store.pred(3)[0]))
+            assert len(set(assignment[neighbours].tolist())) == 2
+        return store, assignment
+
+    @staticmethod
+    def _cells_match_oracle(store, assignment, C):
+        # k and j index; x, at_a and at_b are counts
+        dtypes = [np.int64] * 2 + [store.counts.dtype] * 3
+        words = np.arange(store.V)
+        for source in ("rows", "edges"):
+            bank = bank_from(source, store, assignment, C)
+            for part in (words, words[::-3], words[:0]):
+                want = cells_oracle(store, assignment, part, assignment[part], C)
+                for side, expected in zip(bank.cells(part, assignment[part]), want):
+                    assert [g.dtype for g in side] == dtypes
+                    for g, e in zip(side, expected):
+                        assert np.array_equal(g, e)
+
     @pytest.mark.parametrize("C", [2 << i for i in range(10)])
     def test_sources_list_the_same_cells(self, C):
         # words 0 and 1 neighbour only each other and themselves, so their
@@ -401,19 +438,13 @@ class TestContextCellBranches:
         store = count_bigrams(make_stream(ids, breaks=[6]), V)
         assignment = rng.integers(0, C, V).astype(np.int32)
         assignment[:2] = [0, 1]
-        rows = bank_from("rows", store, assignment, C)
-        edges = bank_from("edges", store, assignment, C)
-        words = np.arange(V)
-        for part in (words, words[::-3], words[:0]):
-            want = cells_oracle(store, assignment, part, assignment[part], C)
-            for bank in (rows, edges):
-                got = bank.cells(part, assignment[part])
-                for side, expected in zip(got, want):
-                    # k and j index; x, at_a and at_b are counts
-                    for g, e, dtype in zip(side, expected, [np.int64] * 2 + [store.counts.dtype] * 3):
-                        assert g.dtype == dtype
-                        assert np.array_equal(g, e)
-        cells = rows.cells(words, assignment)
+        self._cells_match_oracle(store, assignment, C)
+        if C == 2:
+            # the oracle lists no cell at C=2, so neither source may, in
+            # any of the level-1 states either
+            for state in LEVEL_ONE_STATES:
+                self._cells_match_oracle(*self._level_one(state), C)
+        cells = bank_from("rows", store, assignment, C).cells(np.arange(V), assignment)
         for k, *_ in cells:
             assert not np.isin(k, [0, 1]).any()
             if C == 2:
@@ -422,19 +453,27 @@ class TestContextCellBranches:
         assert np.array_equal((La + Lb)[:2], store.succ_total[:2])
         assert np.array_equal((Ra + Rb)[:2], store.pred_total[:2])
 
-    @pytest.mark.parametrize("C", [2, 4, 64, 256, 1024])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_branches_agree_exactly(self, seed, C):
-        store, assignment, matrix = self._moved_instance(100 + seed, C)
+    @staticmethod
+    def _sources_agree(store, assignment, matrix):
         words = np.arange(store.V)
         frm = assignment[words]
         d, rows = both_sources(matrix, store, assignment, words, frm)
-        edges = bank_from("edges", store, assignment, C)
+        edges = bank_from("edges", store, assignment, matrix.C)
         # the scalar oracle reads either source
         for bank in (rows, edges):
             assert np.allclose(d, scalar_deltas(matrix, bank, words, frm), rtol=0, atol=1e-9)
         part = words[::3]
         assert np.array_equal(batch_deltas(matrix, edges, part, frm[part]), d[::3])
+
+    @pytest.mark.parametrize("C", [2, 4, 64, 256, 1024])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_branches_agree_exactly(self, seed, C):
+        store, assignment, matrix = self._moved_instance(100 + seed, C)
+        self._sources_agree(store, assignment, matrix)
+        if C == 2:
+            # one level-1 state per seed
+            store, assignment = self._level_one(LEVEL_ONE_STATES[seed])
+            self._sources_agree(store, assignment, class_matrix(store, assignment, 2))
 
     def test_wide_counts_sum_exactly(self):
         # distinct counts of 48 bits at C=1024, the widest that 20 words

@@ -881,6 +881,39 @@ class TestLevelOneBound:
         if kind == "markov":
             assert lazy.words_scored < 0.95 * full.words_scored
 
+    @pytest.mark.parametrize("kind", ["markov", "elman"])
+    def test_move_set_tally_widens_as_commit_does(self, kind):
+        # cluster() never batches or retracts at level 1, so only a direct
+        # call runs the bound upkeep of commit_all and retract.  Each move
+        # goes through commit on one state and through commit_all or
+        # retract on the other: both leave the same bounds, infinite for
+        # the mover and its neighbours, and each finite one at least the
+        # drift of that word's fresh delta
+        store, _ = level_one_corpus(kind)
+        V = store.V
+        rng = np.random.default_rng(5)
+        start = rng.integers(0, 2, V).astype(np.int32)
+        lone, tally = (ClusterState(store, start, 1) for _ in range(2))
+        every = np.arange(V)
+        finite = 0
+        for i, w in enumerate(rng.choice(V, 40).tolist()):
+            lone.bound[:] = tally.bound[:] = 0.0  # as if every word had just been scored
+            to = int(tally.assignment[w]) ^ 1
+            fresh = splitter.batch_deltas(tally.matrix, tally.bank, every, tally.assignment)
+            lone.commit(w, to)
+            if i % 2:
+                tally.retract(w, to)
+            else:
+                tally.commit_all(np.array([w]), np.array([to]))
+            now = splitter.batch_deltas(tally.matrix, tally.bank, every, tally.assignment)
+            assert np.array_equal(tally.matrix.counts, lone.matrix.counts)
+            assert np.array_equal(tally.bound, lone.bound)
+            kept = np.isfinite(tally.bound)
+            assert not kept[np.concatenate(([w], store.succ(w)[0], store.pred(w)[0]))].any()
+            assert (np.abs(now - fresh)[kept] <= tally.bound[kept] + splitter.DRIFT_MARGIN).all()
+            finite += kept.sum()
+        assert finite > V
+
     def test_heavy_word_gets_an_infinite_bound(self):
         # word 0 only precedes word 1, M times, and so holds all but one of
         # cell (0, 0)'s bigrams; word 2 moving 0 -> 1 takes that one away,
